@@ -33,6 +33,13 @@ PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
 PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
     --bench components > /dev/null
 
+# The host-speed benchmark is a package of its own (hostbench/, not a
+# workspace member), so the steps above never build it. Its tests run the
+# tiny smoke workload and the `drop-committed-tc` mutation self-test,
+# which keeps it compiling against the simulator's public types.
+echo "==> hostbench tests (tiny smoke run + mutation self-test)"
+cargo test --release --offline -q --manifest-path hostbench/Cargo.toml
+
 # Smoke-run the parallel experiment path end to end: a quick-scale grid
 # fanned out over the pool (PMACC_JOBS=4 exercises the multi-worker code
 # even on small CI boxes) rendered to one figure, plus the JSON emitter.

@@ -11,7 +11,7 @@
 //! program order.
 
 use core::fmt;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use pmacc_mem::{Backing, WearSnapshot};
 use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
@@ -66,8 +66,9 @@ pub struct CrashState {
     /// start-gap hardware keeps these registers in NVM for precisely
     /// this reason: without them the device image is unreadable.
     pub wear: Option<WearSnapshot>,
-    /// NVM image at simulation start (for the checker's replay).
-    pub initial_nvm: Backing,
+    /// NVM image at simulation start (for the checker's replay), shared
+    /// by every snapshot of one run.
+    pub initial_nvm: Arc<Backing>,
     /// Per-core transaction-cache contents (STT-RAM), FIFO order.
     pub txcaches: Vec<Vec<TcEntry>>,
     /// NVLLC committed-line image (word granularity).
@@ -359,71 +360,36 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     // Journal order is *global* commit order (the push order of TX_END
     // completions), so shared-window words written by several cores'
     // transactions replay in the order those transactions serialized.
-    let mut expected: HashMap<WordAddr, Word> = state
-        .initial_nvm
-        .iter()
-        .filter(|(w, _)| *w >= heap_base)
-        .collect();
-    let mut touched: Vec<WordAddr> = expected.keys().copied().collect();
+    let mut expected = (*state.initial_nvm).clone();
     for rec in &state.journal {
-        for &(w, v) in &rec.writes {
-            if w >= heap_base {
-                expected.insert(w, v);
-                touched.push(w);
-            }
-        }
+        expected.extend(rec.writes.iter().copied().filter(|(w, _)| *w >= heap_base));
     }
-    // The alternative image with a core's in-flight transaction applied.
-    let mut with_in_flight = expected.clone();
-    let mut in_flight_words: Vec<WordAddr> = Vec::new();
-    for rec in state.in_flight.iter().flatten() {
-        for &(w, v) in &rec.writes {
-            if w >= heap_base {
-                with_in_flight.insert(w, v);
-                in_flight_words.push(w);
-                touched.push(w);
-            }
-        }
-    }
-    in_flight_words.sort();
-    in_flight_words.dedup();
-    // Also examine every heap word the recovered image knows about, so
-    // stray uncommitted writes are caught.
-    touched.extend(recovered.iter().map(|(w, _)| w).filter(|w| *w >= heap_base));
-    touched.sort();
-    touched.dedup();
-
-    // Words touched by an in-flight transaction must be *consistently*
-    // either all pre- or all post-transaction per core; since cores write
-    // disjoint heap slices, a global two-way choice per word set suffices:
-    // group in-flight words by the owning record.
-    let mut mismatches = Vec::new();
-    for w in touched {
-        let want = expected.get(&w).copied().unwrap_or(0);
-        let got = recovered.read_word(w);
-        if want != got {
-            mismatches.push((w, want, got));
-        }
+    // Compare over every heap word either image holds, so both a lost
+    // committed write and a stray uncommitted one are caught (a word in
+    // neither reads zero on both sides).
+    let mut mismatches = heap_mismatches(&expected, recovered, heap_base);
+    if mismatches.is_empty() {
+        return Ok(());
     }
     // Try to explain mismatches with in-flight transactions, one whole
-    // transaction at a time.
-    if !mismatches.is_empty() && !in_flight_words.is_empty() {
-        for rec in state.in_flight.iter().flatten() {
-            let words: Vec<WordAddr> = {
-                let mut v: Vec<WordAddr> =
-                    rec.writes.iter().map(|&(w, _)| w).filter(|w| *w >= heap_base).collect();
-                v.sort();
-                v.dedup();
-                v
-            };
-            // Accept this transaction only if *all* its words match the
-            // post-transaction image.
-            let all_match = words
-                .iter()
-                .all(|w| recovered.read_word(*w) == with_in_flight.get(w).copied().unwrap_or(0));
-            if all_match {
-                mismatches.retain(|(w, _, _)| !words.contains(w));
-            }
+    // transaction at a time: a transaction is accepted only if *all* its
+    // heap words match the image with the in-flight writes applied.
+    let mut with_in_flight = Backing::new();
+    for rec in state.in_flight.iter().flatten() {
+        with_in_flight.extend(rec.writes.iter().copied().filter(|(w, _)| *w >= heap_base));
+    }
+    for rec in state.in_flight.iter().flatten() {
+        let words: Vec<WordAddr> = rec
+            .writes
+            .iter()
+            .map(|&(w, _)| w)
+            .filter(|w| *w >= heap_base)
+            .collect();
+        if words
+            .iter()
+            .all(|&w| recovered.read_word(w) == with_in_flight.read_word(w))
+        {
+            mismatches.retain(|(w, _, _)| !words.contains(w));
         }
     }
     if mismatches.is_empty() {
@@ -433,6 +399,32 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
         mismatches.truncate(16);
         Err(RecoveryError { mismatches, total })
     }
+}
+
+/// Every heap word (at or above `heap_base`) where `expected` and
+/// `recovered` disagree, as `(address, expected, recovered)` in ascending
+/// address order: one merge walk over both images' sorted words.
+fn heap_mismatches(
+    expected: &Backing,
+    recovered: &Backing,
+    heap_base: WordAddr,
+) -> Vec<(WordAddr, Word, Word)> {
+    let mut want = expected.iter().filter(|(w, _)| *w >= heap_base).peekable();
+    let mut got = recovered.iter().filter(|(w, _)| *w >= heap_base).peekable();
+    let mut out = Vec::new();
+    while let Some(w) = [want.peek(), got.peek()]
+        .into_iter()
+        .flatten()
+        .map(|&(w, _)| w)
+        .min()
+    {
+        let e = want.next_if(|&(a, _)| a == w).map_or(0, |(_, v)| v);
+        let g = got.next_if(|&(b, _)| b == w).map_or(0, |(_, v)| v);
+        if e != g {
+            out.push((w, e, g));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -451,7 +443,7 @@ mod tests {
             cores: 1,
             nvm: Backing::new(),
             wear: None,
-            initial_nvm: Backing::new(),
+            initial_nvm: Arc::default(),
             txcaches: vec![Vec::new()],
             nv_llc_committed: FxHashMap::default(),
             cow: vec![Vec::new()],
@@ -607,6 +599,38 @@ mod tests {
         let rec = recover(&st);
         let err = check_recovery(&st, &rec).unwrap_err();
         assert_eq!(err.total, 1);
+    }
+
+    #[test]
+    fn checker_replays_over_a_non_empty_initial_image() {
+        let below_heap = Addr::nvm_base().word();
+        let mut st = base_state(SchemeKind::Optimal);
+        st.initial_nvm = Arc::new(
+            [(below_heap, 0xBEEF), (heap_word(2), 5)]
+                .into_iter()
+                .collect(),
+        );
+        // A recovery that loses the initial heap word (and the below-heap
+        // scratch word, which is not compared) reports the initial value.
+        let err = check_recovery(&st, &Backing::new()).unwrap_err();
+        assert_eq!(err.total, 1);
+        assert_eq!(err.mismatches, vec![(heap_word(2), 5, 0)]);
+        // Keeping the initial heap word is consistent, whatever happened
+        // below the heap.
+        let mut rec = Backing::new();
+        rec.write_word(heap_word(2), 5);
+        rec.write_word(below_heap, 1);
+        check_recovery(&st, &rec).unwrap();
+        // A committed write over the initial word wins.
+        st.journal.push(TxRecord {
+            tx: TxId::new(0, 0),
+            commit_cycle: 10,
+            writes: vec![(heap_word(2), 6)],
+        });
+        let err = check_recovery(&st, &rec).unwrap_err();
+        assert_eq!(err.mismatches, vec![(heap_word(2), 6, 5)]);
+        rec.write_word(heap_word(2), 6);
+        check_recovery(&st, &rec).unwrap();
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! memory, store drains, transaction-cache drains and write-backs flow
 //! through the [`pmacc_mem::MemController`] models, whose completions wake
 //! the dependent components. A parallel *functional* model carries 64-bit
-//! word values so that crash recovery can be verified, not assumed: the
-//! NVM [`Backing`], the STT-RAM transaction caches, the SP log (parsed out
-//! of the NVM image) and the NVLLC committed-line image all survive a
-//! simulated crash; everything else dies with it.
+//! word values so that crash recovery can be verified, not assumed.
+//!
+//! Word images are [`Backing`]s, three of them: the *architectural* image
+//! (the newest value of every word, as loads and stores see it — it dies
+//! with a crash), the *durable NVM* image (what write-backs, flushes and
+//! transaction-cache drains have landed), and the *initial* NVM image,
+//! built once and shared by every [`CrashState`] for the checker's
+//! replay. The durable image, the STT-RAM transaction caches, the SP log
+//! (parsed out of the NVM image) and the NVLLC committed-line image all
+//! survive a simulated crash; everything else dies with it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use pmacc_cache::{Access, Eviction, Hierarchy, HierarchyOpts, Level, Mshr, WriteBackBuffer};
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
@@ -348,10 +355,14 @@ pub struct System {
     tcs: Vec<TxCache>,
     nvm: MemController,
     dram: MemController,
+    /// Durable NVM image: what has reached the persistence domain.
     nvm_backing: Backing,
-    dram_backing: Backing,
-    initial_nvm: Backing,
-    volatile: FxHashMap<WordAddr, Word>,
+    /// The persistent words of the initial image, shared with every
+    /// [`CrashState`] (the checker replays the journal over it).
+    initial_nvm: Arc<Backing>,
+    /// Architectural memory: the newest value of every word, persistent
+    /// or not, as loads and stores see it through the cache hierarchy.
+    arch: Backing,
     nv_llc_committed: FxHashMap<WordAddr, Word>,
     cow_shadow: Vec<Vec<CowTxShadow>>,
     /// Outstanding home-location installs per overflowed transaction;
@@ -479,17 +490,12 @@ impl System {
         let opts = HierarchyOpts {
             pin_uncommitted_in_llc: cfg.scheme == SchemeKind::NvLlc,
         };
-        let mut nvm_backing = Backing::new();
-        let mut dram_backing = Backing::new();
-        let mut volatile = FxHashMap::default();
-        for &(w, v) in initial {
-            volatile.insert(w, v);
-            if w.is_persistent() {
-                nvm_backing.write_word(w, v);
-            } else {
-                dram_backing.write_word(w, v);
-            }
-        }
+        let arch: Backing = initial.iter().copied().collect();
+        let nvm_backing: Backing = initial
+            .iter()
+            .copied()
+            .filter(|(w, _)| w.is_persistent())
+            .collect();
         let tx_write_table = traces.iter().map(tx_writes_of).collect();
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
@@ -497,10 +503,9 @@ impl System {
             tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
             nvm: MemController::new(MemRegion::Nvm, cfg.nvm, SchedPolicy::FrFcfs),
             dram: MemController::new(MemRegion::Dram, cfg.dram, SchedPolicy::FrFcfs),
-            initial_nvm: nvm_backing.clone(),
+            initial_nvm: Arc::new(nvm_backing.clone()),
             nvm_backing,
-            dram_backing,
-            volatile,
+            arch,
             nv_llc_committed: FxHashMap::default(),
             cow_shadow: vec![Vec::new(); cfg.cores],
             cow_installs: FxHashMap::default(),
@@ -1076,7 +1081,7 @@ impl System {
                 logical.write_line(line, &words);
             }
             for line in self.hier.dirty_persistent_lines() {
-                let words = self.snapshot_volatile(line);
+                let words = self.arch.read_line(line);
                 logical.write_line(line, &words);
             }
         }
@@ -1090,7 +1095,7 @@ impl System {
             cores: self.cfg.cores,
             nvm,
             wear,
-            initial_nvm: self.initial_nvm.clone(),
+            initial_nvm: Arc::clone(&self.initial_nvm),
             txcaches: self.tcs.iter().map(|t| t.entries_fifo()).collect(),
             nv_llc_committed: self.nv_llc_committed.clone(),
             cow: self.cow_shadow.clone(),
@@ -1254,9 +1259,8 @@ impl System {
             Op::LogStore { addr, meta, value } => {
                 // Functional: the record header lands in the word after
                 // the base; the store path below handles the base word.
-                self.volatile.insert(addr.word(), meta);
-                self.volatile
-                    .insert(WordAddr::new(addr.word().raw() + 1), value);
+                self.arch.write_word(addr.word(), meta);
+                self.arch.write_word(WordAddr::new(addr.word().raw() + 1), value);
                 self.do_store(c, addr, meta, StoreKind::Log)
             }
             Op::Flush { addr } => self.do_flush(c, addr),
@@ -1505,12 +1509,12 @@ impl System {
         // of this line, so the pre-image is the latest committed value.
         if self.cfg.scheme == SchemeKind::Eadr && persistent && in_tx && kind == StoreKind::Data {
             let w = addr.word();
-            let pre = self.volatile.get(&w).copied().unwrap_or(0);
+            let pre = self.arch.read_word(w);
             self.eadr_undo[c].entry(w).or_insert(pre);
         }
 
         // Functional: architectural memory state.
-        self.volatile.insert(addr.word(), value);
+        self.arch.write_word(addr.word(), value);
 
         // Timing: the store retires into the store buffer and drains in
         // the background; its drain cost depends on where it hit.
@@ -1656,7 +1660,7 @@ impl System {
             // Escape hatch: forcibly unpin the oldest uncommitted line in
             // the set and persist it out of band (hardware COW).
             if let Some(victim) = self.hier.force_unpin_for(line) {
-                let words = self.snapshot_volatile(victim);
+                let words = self.arch.read_line(victim);
                 self.post_write(
                     victim,
                     pmacc_types::WriteCause::Cow,
@@ -1683,7 +1687,7 @@ impl System {
         self.cores[c].stats.ops.inc();
         let dirty = self.hier.flush_line(c, line);
         if dirty {
-            let words = self.snapshot_volatile(line);
+            let words = self.arch.read_line(line);
             self.cores[c].pending_flushes += 1;
             self.post_write(
                 line,
@@ -2020,14 +2024,6 @@ impl System {
     // Eviction routing and write-backs
     // ------------------------------------------------------------------
 
-    fn snapshot_volatile(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        let mut out = [0; WORDS_PER_LINE];
-        for (i, w) in line.words().enumerate() {
-            out[i] = self.volatile.get(&w).copied().unwrap_or(0);
-        }
-        out
-    }
-
     fn snapshot_committed(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
         // NVLLC write-backs carry the *committed* version of the line.
         let mut out = [0; WORDS_PER_LINE];
@@ -2056,7 +2052,7 @@ impl System {
             let words = if persistent && self.cfg.scheme == SchemeKind::NvLlc {
                 self.snapshot_committed(ev.line)
             } else {
-                self.snapshot_volatile(ev.line)
+                self.arch.read_line(ev.line)
             };
             self.post_write(
                 ev.line,
@@ -2167,14 +2163,14 @@ impl System {
             Origin::Writeback { line, words } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
+                    self.nvm_backing.write_line(line, &words);
                 }
-                self.apply_line(region, line, &words);
             }
             Origin::FlushAck { core, words, line } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
+                    self.nvm_backing.write_line(line, &words);
                 }
-                self.apply_line(region, line, &words);
                 self.cores[core].pending_flushes -= 1;
                 if self.cores[core].blocked == Some(StallKind::Fence) {
                     self.cores[core].time = self.cores[core].time.max(comp.done_at);
@@ -2285,14 +2281,6 @@ impl System {
                 }
             }
         }
-    }
-
-    fn apply_line(&mut self, region: MemRegion, line: LineAddr, words: &[Word; WORDS_PER_LINE]) {
-        let backing = match region {
-            MemRegion::Nvm => &mut self.nvm_backing,
-            MemRegion::Dram => &mut self.dram_backing,
-        };
-        backing.write_line(line, words);
     }
 
     /// Applies one committed durable word write in commit order: two
@@ -2767,6 +2755,39 @@ mod tests {
         assert_eq!(r.nvm.reads.value(), 0);
         assert!(r.dram.writes() > 0, "evictions reach the DRAM channel");
         assert_eq!(r.residual_nvm_lines, 0);
+    }
+
+    #[test]
+    fn crash_states_share_the_persistent_initial_image() {
+        let heap = layout::persistent_heap_base();
+        let vol = layout::volatile_heap_base();
+        let initial = [
+            (heap.offset(8).word(), 11),
+            (vol.word(), 22),
+            (heap.offset(4096).word(), 33),
+            (vol.offset(64).word(), 44),
+        ];
+        let cfg = tiny_machine(SchemeKind::TxCache);
+        let traces = vec![simple_trace(); cfg.cores];
+        let mut sys = System::new(cfg, traces, &initial, &RunConfig::default()).unwrap();
+        sys.run_until(50).unwrap();
+        let early = sys.crash_state();
+        sys.run_until(500).unwrap();
+        let late = sys.crash_state();
+        assert!(late.cycle > early.cycle);
+        assert!(
+            Arc::ptr_eq(&early.initial_nvm, &late.initial_nvm),
+            "snapshots share one initial image"
+        );
+        let image: Vec<(WordAddr, Word)> = early.initial_nvm.iter().collect();
+        assert_eq!(
+            image,
+            vec![(heap.offset(8).word(), 11), (heap.offset(4096).word(), 33)],
+            "exactly the persistent words of the input"
+        );
+        // DRAM words live only in the architectural image.
+        assert_eq!(sys.arch.read_word(vol.offset(64).word()), 44);
+        assert_eq!(sys.nvm_backing.read_word(vol.offset(64).word()), 0);
     }
 
     #[test]

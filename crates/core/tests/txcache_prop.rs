@@ -650,7 +650,7 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
                 cores: 1,
                 nvm: nvm.clone(),
                 wear: None,
-                initial_nvm: pmacc_mem::Backing::new(),
+                initial_nvm: std::sync::Arc::default(),
                 txcaches: vec![snapshot],
                 nv_llc_committed: pmacc_types::FxHashMap::default(),
                 cow: vec![Vec::new()],

@@ -1,9 +1,11 @@
 //! Functional (value-carrying) backing store.
 //!
 //! The timing model decides *when* a line reaches memory; the backing store
-//! records *what* is there, at 64-bit-word granularity. The NVM backing is
-//! the ground truth that crash recovery inspects; the DRAM backing is
-//! cleared by a simulated crash.
+//! records *what* is there, at 64-bit-word granularity. It is the
+//! simulator's word-image type: the architectural image (newest
+//! values, lost at a crash), the durable NVM image that crash recovery
+//! inspects, the initial image the recovery checker replays over, and the
+//! recovered and expected images it compares.
 //!
 //! Storage is line-granular: one map entry holds a whole cache line
 //! (`[Word; WORDS_PER_LINE]` plus a written-word mask), so the hot
@@ -111,7 +113,7 @@ impl Backing {
         self.written == 0
     }
 
-    /// Erases everything (a crash, for the DRAM region).
+    /// Erases everything.
     pub fn clear(&mut self) {
         self.lines.clear();
         self.written = 0;

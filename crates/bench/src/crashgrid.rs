@@ -45,6 +45,7 @@ use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use pmacc::recovery::{check_recovery, recover, CrashState};
+use pmacc::scheme::SchemeCrash;
 use pmacc::{BoundaryClass, RunConfig, System};
 use pmacc_telemetry::{Json, ToJson};
 use pmacc_types::rng::{stream_seed, Rng};
@@ -85,12 +86,12 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Applies the defect to a crash snapshot.
+    /// Applies the defect to a crash snapshot (a no-op on schemes the
+    /// defect does not concern).
     pub fn apply(self, state: &mut CrashState) {
-        match self {
-            Mutation::None => {}
-            Mutation::DropCommittedTc => {
-                for entries in &mut state.txcaches {
+        match (self, &mut state.scheme_state) {
+            (Mutation::DropCommittedTc, SchemeCrash::TxCache { txcaches, .. }) => {
+                for entries in txcaches {
                     if let Some(i) = entries
                         .iter()
                         .rposition(|e| e.state == pmacc::EntryState::Committed)
@@ -99,18 +100,17 @@ impl Mutation {
                     }
                 }
             }
-            Mutation::SkipCowReplay => {
-                for shadows in &mut state.cow {
-                    for s in shadows {
-                        s.committed = false;
-                    }
+            (Mutation::SkipCowReplay, SchemeCrash::TxCache { cow, .. }) => {
+                for s in cow.iter_mut().flatten() {
+                    s.committed = false;
                 }
             }
-            Mutation::KeepUncommittedEadr => {
-                for undo in &mut state.eadr_undo {
-                    undo.clear();
+            (Mutation::KeepUncommittedEadr, SchemeCrash::Eadr { undo }) => {
+                for log in undo {
+                    log.clear();
                 }
             }
+            _ => {}
         }
     }
 }

@@ -10,7 +10,7 @@ use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::hwcost::HwOverhead;
 use pmacc::recovery::{check_recovery, recover, recovery_cost};
 use pmacc::scheme::sp::{self, SpMode};
-use pmacc::{RunConfig, RunReport, System};
+use pmacc::{striped_workloads, RunConfig, RunReport, System};
 use pmacc_cpu::StallKind;
 use pmacc_types::{MachineConfig, SchemeKind, SimError, WriteCause};
 use pmacc_workloads::{build, WorkloadKind};
@@ -262,13 +262,7 @@ pub fn recovery_table(scale: Scale, seed: u64, opts: &Options) -> Result<FigTabl
         ],
     );
     let params = scale.params(seed);
-    let schemes = [
-        SchemeKind::Sp,
-        SchemeKind::TxCache,
-        SchemeKind::NvLlc,
-        SchemeKind::Optimal,
-        SchemeKind::Eadr,
-    ];
+    let schemes = SchemeKind::all();
     // Each scheme's pair of runs (full, then crashed halfway) is an
     // independent job; the two runs within a job stay sequential because
     // the crash point depends on the full run's cycle count.
@@ -1186,8 +1180,10 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
     let params = scale.params(seed);
     let machine = scale.machine();
     // One job for the Optimal baseline, one per fencing mode: each SP
-    // job pre-instruments with the requested mode and runs under the SP
-    // runtime (which adds nothing beyond the instrumentation).
+    // job builds the same striped per-core workloads as a grid cell,
+    // pre-instruments them with the requested mode and runs under the SP
+    // runtime (which adds nothing beyond the instrumentation), so the
+    // batched row is exactly the grid's SP cell.
     let mut jobs: Vec<Job<Result<RunReport, SimError>>> = Vec::new();
     {
         let machine = machine.clone().with_scheme(SchemeKind::Optimal);
@@ -1199,20 +1195,12 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
     for mode in modes {
         let cfg = machine.clone().with_scheme(SchemeKind::Sp);
         jobs.push(Job::new(format!("sp-fencing {mode:?}/sps"), move || {
-            let mut traces = Vec::new();
-            let mut initial = Vec::new();
-            for core in 0..cfg.cores {
-                let mut p = params;
-                p.seed = params.seed.wrapping_add(core as u64 * 0x9E37_79B9);
-                let w = build(WorkloadKind::Sps, &p);
-                let strided = pmacc::stride_trace(&w.trace, core);
-                traces.push(sp::instrument_with(core, &strided, mode));
-                initial.extend(
-                    w.initial
-                        .iter()
-                        .map(|&(a, v)| (pmacc::stride_word(a, core), v)),
-                );
-            }
+            let (raw, initial) = striped_workloads(&vec![WorkloadKind::Sps; cfg.cores], &params);
+            let traces = raw
+                .iter()
+                .enumerate()
+                .map(|(core, t)| sp::instrument_with(core, t, mode))
+                .collect();
             System::new_instrumented(cfg, traces, &initial, &RunConfig::default())?.run()
         }));
     }

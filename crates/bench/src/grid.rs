@@ -3,9 +3,8 @@
 //!
 //! Every cell is one independent [`System`] run — a (workload, scheme)
 //! pair at a [`Scale`] and seed — so the grid fans out over the
-//! [`crate::pool`] worker pool: [`run_grid`] resolves the worker count
-//! from the environment (`PMACC_JOBS`, else all available cores) and
-//! [`run_grid_opts`] takes it explicitly. Results are keyed and ordered
+//! [`crate::pool`] worker pool; [`run_grid_opts`] takes the worker
+//! count explicitly. Results are keyed and ordered
 //! deterministically regardless of which worker finished first, so the
 //! same seed produces the same [`GridResults`] (and the same rendered
 //! `results.md`) at any job count.
@@ -39,8 +38,8 @@ use crate::pool::{self, Job, Options};
 /// How large the simulated runs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// ~1k transactions per core: seconds per grid, for smoke runs and
-    /// the timing-harness benches.
+    /// ~1k transactions per core: seconds per grid, for smoke runs, the
+    /// CI gates and the host-speed benchmark.
     Quick,
     /// ~5k transactions per core: a couple of minutes for the full grid.
     #[default]
@@ -140,35 +139,6 @@ impl GridResults {
             .sum::<f64>()
             / all.len() as f64
     }
-}
-
-/// Runs the full scheme × workload grid, with the worker count resolved
-/// from the environment (`PMACC_JOBS`, else available parallelism).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered (in cell submission
-/// order, which is deterministic).
-pub fn run_grid(scale: Scale, seed: u64, progress: bool) -> Result<GridResults, SimError> {
-    run_grid_with(scale, seed, progress, &RunConfig::default())
-}
-
-/// Runs the grid under explicit run options (e.g. a measurement warm-up).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered.
-pub fn run_grid_with(
-    scale: Scale,
-    seed: u64,
-    progress: bool,
-    run_cfg: &RunConfig,
-) -> Result<GridResults, SimError> {
-    let opts = Options {
-        progress,
-        ..Options::default()
-    };
-    run_grid_opts(scale, seed, run_cfg, &opts)
 }
 
 /// Runs the grid with an explicit worker count: every (workload, scheme)

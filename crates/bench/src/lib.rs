@@ -26,7 +26,6 @@
 pub mod crashgrid;
 pub mod figures;
 pub mod grid;
-pub mod harness;
 pub mod pool;
 pub mod report;
 pub mod serve;
@@ -35,5 +34,5 @@ pub mod table;
 
 pub use crashgrid::{run_campaign, CampaignConfig, CampaignReport, CRASHGRID_SCHEMA};
 pub use serve::{run_serve, ServeCampaignConfig, ServeReport, SERVE_SCHEMA};
-pub use grid::{run_grid, GridResults, Scale};
+pub use grid::{GridResults, Scale};
 pub use table::FigTable;

@@ -24,3 +24,43 @@ fn table3_measures_all_workloads() {
         assert!(t3.contains(name), "missing {name} row");
     }
 }
+
+#[test]
+fn ablation_e_batched_row_is_the_grid_sp_cell() {
+    // The batched fencing mode is the default SP instrumentation, so its
+    // row must reproduce the grid's SP/sps cell normalized to Optimal.
+    use pmacc::RunReport;
+    use pmacc_bench::grid::run_cell;
+    use pmacc_bench::pool::Options;
+    use pmacc_bench::table::norm;
+    use pmacc_types::SchemeKind;
+    use pmacc_workloads::WorkloadKind;
+
+    let (scale, seed) = (Scale::Quick, 42);
+    let opts = Options {
+        jobs: 2,
+        progress: false,
+    };
+    let t = figures::ablation_sp_fencing(scale, seed, &opts).unwrap();
+    let cell = |scheme| {
+        run_cell(
+            scale.machine().with_scheme(scheme),
+            WorkloadKind::Sps,
+            scale,
+            seed,
+        )
+        .unwrap()
+    };
+    let (sp, opt) = (cell(SchemeKind::Sp), cell(SchemeKind::Optimal));
+    let ratio = |m: fn(&RunReport) -> f64| norm(m(&sp) / m(&opt));
+    let writes = |r: &RunReport| r.nvm_write_traffic() as f64;
+    assert_eq!(t.rows[0][0], "batched (Fig. 3a, default)");
+    assert_eq!(
+        t.rows[0][1..],
+        [
+            ratio(RunReport::ipc),
+            ratio(RunReport::throughput),
+            ratio(writes),
+        ]
+    );
+}

@@ -1,23 +1,22 @@
-//! Crash injection, per-scheme recovery and the atomicity checker.
+//! Crash injection, recovery and the atomicity checker.
 //!
-//! A simulated crash keeps only what the hardware keeps: the NVM image,
-//! the STT-RAM transaction caches (data *and* state bits, Table 1), the
-//! NVLLC's committed lines, the durable COW areas and — under eADR —
-//! the flush-on-failure drain of every dirty cache line plus the per-core
-//! undo logs. Each scheme's
-//! recovery procedure rebuilds a consistent NVM image from those, and
-//! [`check_recovery`] verifies the result equals replaying exactly the
-//! transactions that committed before the crash — all-or-nothing, in
-//! program order.
+//! A simulated crash keeps only what the hardware keeps: the NVM image
+//! (under eADR including the flush-on-failure drain of every dirty cache
+//! line) and the scheme's own durable state, a [`SchemeCrash`] — the
+//! STT-RAM transaction caches (data *and* state bits, Table 1) and COW
+//! areas, the NVLLC's committed lines, or eADR's per-core undo logs.
+//! Each scheme's recovery walk in [`crate::scheme`] rebuilds a consistent
+//! NVM image from those, and [`check_recovery`] verifies the result
+//! equals replaying exactly the transactions that committed before the
+//! crash — all-or-nothing, in program order.
 
 use core::fmt;
 use std::sync::Arc;
 
 use pmacc_mem::{Backing, WearSnapshot};
-use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
+use pmacc_types::{layout, Cycle, TxId, Word, WordAddr, WORDS_PER_LINE};
 
-use crate::scheme::sp::{self, LogElem};
-use crate::txcache::{EntryState, TcEntry};
+use crate::scheme::SchemeCrash;
 
 /// One committed transaction in the golden journal (oracle only — real
 /// recovery never reads this).
@@ -31,28 +30,11 @@ pub struct TxRecord {
     pub writes: Vec<(WordAddr, Word)>,
 }
 
-/// Durable image of one overflowed (copy-on-write) transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CowTxShadow {
-    /// Transaction identity.
-    pub tx: TxId,
-    /// Shadow copies durable in the COW area.
-    pub records: Vec<(WordAddr, Word)>,
-    /// Whether the commit record persisted.
-    pub committed: bool,
-    /// Global commit order (1-based journal index) stamped when the commit
-    /// record persisted; 0 while uncommitted. Shares the replay ordering
-    /// of [`TcEntry::commit_seq`].
-    pub commit_seq: u64,
-}
-
 /// Everything that survives a power failure, plus the checking oracle.
 #[derive(Debug, Clone)]
 pub struct CrashState {
     /// Crash cycle.
     pub cycle: Cycle,
-    /// Scheme that was running.
-    pub scheme: SchemeKind,
     /// Core count.
     pub cores: usize,
     /// Durable NVM image at the crash. With wear leveling off this is
@@ -69,12 +51,9 @@ pub struct CrashState {
     /// NVM image at simulation start (for the checker's replay), shared
     /// by every snapshot of one run.
     pub initial_nvm: Arc<Backing>,
-    /// Per-core transaction-cache contents (STT-RAM), FIFO order.
-    pub txcaches: Vec<Vec<TcEntry>>,
-    /// NVLLC committed-line image (word granularity).
-    pub nv_llc_committed: FxHashMap<WordAddr, Word>,
-    /// Per-core COW-area shadows.
-    pub cow: Vec<Vec<CowTxShadow>>,
+    /// What the running scheme keeps durable beside the NVM image; only
+    /// its own recovery reads it.
+    pub scheme_state: SchemeCrash,
     /// Golden journal of committed transactions (oracle).
     pub journal: Vec<TxRecord>,
     /// Per-core transaction in flight at the crash (oracle): its identity
@@ -83,13 +62,6 @@ pub struct CrashState {
     /// became durable but `TX_END` had not retired — or not at all;
     /// recovering it partially is an atomicity violation.
     pub in_flight: Vec<Option<TxRecord>>,
-    /// Per-core eADR undo log: the first-write pre-image of every heap
-    /// word the core's in-flight transaction has overwritten, in address
-    /// order. Durable alongside the drained caches (the residual-energy
-    /// budget covers it), and empty for every other scheme — under eADR
-    /// uncommitted stores *do* persist, so rollback needs these
-    /// pre-images to restore the committed image.
-    pub eadr_undo: Vec<Vec<(WordAddr, Word)>>,
 }
 
 impl CrashState {
@@ -131,99 +103,7 @@ impl CrashState {
 #[must_use]
 pub fn recover(state: &CrashState) -> Backing {
     let mut nvm = state.logical_nvm();
-    match state.scheme {
-        SchemeKind::Optimal => {
-            // No persistence support: whatever reached the NVM is all
-            // there is.
-        }
-        SchemeKind::Sp => {
-            // Parse each core's write-ahead log out of the NVM image and
-            // redo the records of committed transactions, in log order.
-            for core in 0..state.cores {
-                let elems = sp::parse_log(core, &|w| nvm.read_word(w));
-                let committed: Vec<u64> = elems
-                    .iter()
-                    .filter_map(|e| match e {
-                        LogElem::Commit { serial } => Some(*serial),
-                        LogElem::Record { .. } => None,
-                    })
-                    .collect();
-                for e in &elems {
-                    if let LogElem::Record {
-                        serial,
-                        addr,
-                        value,
-                    } = e
-                    {
-                        if committed.contains(serial) {
-                            nvm.write_word(*addr, *value);
-                        }
-                    }
-                }
-            }
-        }
-        SchemeKind::TxCache => {
-            // Merge the durable sources of *all* cores — committed
-            // transaction-cache entries (FIFO order within a transaction)
-            // and committed COW shadows — and redo them in ascending
-            // global commit order (the `commit_seq` each transaction was
-            // stamped with at TX_END). Per core commit order equals
-            // program order, so with disjoint data this degenerates to
-            // the old per-core serial replay; when two cores' committed
-            // transactions wrote the same shared line, the replay lands
-            // the writes in the order the transactions serialized. A
-            // transaction is entirely in one source: overflowing to the
-            // COW path discards its TC entries.
-            let mut by_seq: std::collections::BTreeMap<u64, Vec<(WordAddr, Word)>> =
-                std::collections::BTreeMap::new();
-            for core in 0..state.cores {
-                for e in &state.txcaches[core] {
-                    if e.state == EntryState::Committed {
-                        let bucket = by_seq.entry(e.commit_seq).or_default();
-                        for (i, v) in e.values.iter().enumerate() {
-                            if let Some(v) = v {
-                                bucket.push((e.line.word(i), *v));
-                            }
-                        }
-                    }
-                }
-                for s in &state.cow[core] {
-                    if s.committed {
-                        by_seq
-                            .entry(s.commit_seq)
-                            .or_default()
-                            .extend(s.records.iter().copied());
-                    }
-                }
-            }
-            for (_, writes) in by_seq {
-                for (w, v) in writes {
-                    nvm.write_word(w, v);
-                }
-            }
-        }
-        SchemeKind::NvLlc => {
-            // The nonvolatile LLC's committed lines are part of the
-            // persistence domain: overlay them.
-            for (&w, &v) in &state.nv_llc_committed {
-                nvm.write_word(w, v);
-            }
-        }
-        SchemeKind::Eadr => {
-            // The flush-on-failure drain persisted every dirty line —
-            // including the stores of transactions that never committed.
-            // Roll those back with the durable undo log: each in-flight
-            // transaction's first-write pre-images restore exactly the
-            // committed image (the conflict gate serializes cross-core
-            // writers of a line, so a pre-image is always the latest
-            // committed value of its word).
-            for undo in &state.eadr_undo {
-                for &(w, v) in undo {
-                    nvm.write_word(w, v);
-                }
-            }
-        }
-    }
+    state.scheme_state.recover(state.cores, &mut nvm);
     nvm
 }
 
@@ -242,78 +122,16 @@ pub struct RecoveryCost {
     pub estimated_ns: u64,
 }
 
-/// Estimates the recovery cost for `state` on `machine` without mutating
-/// anything (run [`recover`] for the actual image).
+/// Estimates the recovery cost for `state` with `machine`'s NVM
+/// latencies. The words scanned and replayed are counted by the same
+/// walk [`recover`] runs, over the crashed machine's own arrays.
 #[must_use]
 pub fn recovery_cost(
     state: &CrashState,
     machine: &pmacc_types::MachineConfig,
 ) -> RecoveryCost {
-    use pmacc_types::WORDS_PER_LINE;
-    let mut cost = RecoveryCost::default();
-    match state.scheme {
-        SchemeKind::Optimal => {}
-        SchemeKind::Sp => {
-            // The log walk reads logical addresses, so under wear
-            // leveling the image is un-remapped first (the cost of that
-            // register-driven translation is not charged — it is pure
-            // address arithmetic, not device traffic).
-            let nvm = state.logical_nvm();
-            for core in 0..state.cores {
-                let elems = sp::parse_log(core, &|w| nvm.read_word(w));
-                let mut committed = Vec::new();
-                for e in &elems {
-                    match e {
-                        LogElem::Commit { serial } => committed.push(*serial),
-                        LogElem::Record { .. } => cost.words_scanned += 2,
-                    }
-                }
-                cost.words_scanned += 2 * committed.len() as u64; // markers
-                for e in &elems {
-                    if let LogElem::Record { serial, .. } = e {
-                        if committed.contains(serial) {
-                            cost.words_replayed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        SchemeKind::TxCache => {
-            for entries in &state.txcaches {
-                // The whole STT-RAM array is read out once.
-                cost.words_scanned +=
-                    machine.txcache.entries() as u64 * WORDS_PER_LINE as u64;
-                for e in entries {
-                    if e.state == EntryState::Committed {
-                        cost.words_replayed +=
-                            e.values.iter().filter(|v| v.is_some()).count() as u64;
-                    }
-                }
-            }
-            for shadows in &state.cow {
-                for s in shadows {
-                    cost.words_scanned += 2 * s.records.len() as u64 + 2;
-                    if s.committed {
-                        cost.words_replayed += s.records.len() as u64;
-                    }
-                }
-            }
-        }
-        SchemeKind::NvLlc => {
-            // The NV-LLC is already in the persistence domain: recovery
-            // walks the tag array to discard uncommitted lines; no data
-            // moves.
-            cost.words_scanned += machine.llc.lines();
-        }
-        SchemeKind::Eadr => {
-            // Walk each core's durable undo log (address + pre-image word
-            // per record) and write the pre-images back.
-            for undo in &state.eadr_undo {
-                cost.words_scanned += 2 * undo.len() as u64;
-                cost.words_replayed += undo.len() as u64;
-            }
-        }
-    }
+    let mut nvm = state.logical_nvm();
+    let mut cost = state.scheme_state.recover(state.cores, &mut nvm);
     let lines_scanned = cost.words_scanned.div_ceil(WORDS_PER_LINE as u64);
     let lines_replayed = cost.words_replayed.div_ceil(WORDS_PER_LINE as u64);
     cost.estimated_ns = (lines_scanned as f64 * machine.nvm.read_ns
@@ -430,32 +248,50 @@ fn heap_mismatches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmacc_types::Addr;
+    use crate::scheme::sp;
+    use crate::scheme::tc::CowTxShadow;
+    use crate::txcache::{EntryState, TcEntry};
+    use pmacc_types::{Addr, MachineConfig};
 
     fn heap_word(i: u64) -> WordAddr {
         layout::persistent_heap_base().offset(i * 8).word()
     }
 
-    fn base_state(scheme: SchemeKind) -> CrashState {
+    fn base_state(scheme_state: SchemeCrash) -> CrashState {
         CrashState {
             cycle: 100,
-            scheme,
             cores: 1,
             nvm: Backing::new(),
             wear: None,
             initial_nvm: Arc::default(),
-            txcaches: vec![Vec::new()],
-            nv_llc_committed: FxHashMap::default(),
-            cow: vec![Vec::new()],
+            scheme_state,
             journal: Vec::new(),
             in_flight: vec![None],
-            eadr_undo: vec![Vec::new()],
         }
+    }
+
+    /// A one-core TC snapshot with the small machine's array size.
+    fn tc_state(entries: Vec<TcEntry>, cow: Vec<CowTxShadow>) -> CrashState {
+        base_state(SchemeCrash::TxCache {
+            capacity: MachineConfig::small().txcache.entries(),
+            txcaches: vec![entries],
+            cow: vec![cow],
+        })
+    }
+
+    fn eadr_state(undo: &[(WordAddr, Word)]) -> CrashState {
+        base_state(SchemeCrash::Eadr {
+            undo: vec![undo.iter().copied().collect()],
+        })
+    }
+
+    fn set_undo(st: &mut CrashState, undo: &[(WordAddr, Word)]) {
+        st.scheme_state = eadr_state(undo).scheme_state;
     }
 
     #[test]
     fn optimal_recovery_is_identity() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         st.nvm.write_word(heap_word(0), 42);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(0)), 42);
@@ -463,7 +299,6 @@ mod tests {
 
     #[test]
     fn tc_recovery_replays_committed_discards_active() {
-        let mut st = base_state(SchemeKind::TxCache);
         let mut committed = TcEntry {
             state: EntryState::Committed,
             tx: TxId::new(0, 0),
@@ -479,7 +314,7 @@ mod tests {
         active.values[0] = Some(99);
         active.line = heap_word(8).line();
         active.commit_seq = 0;
-        st.txcaches[0] = vec![committed, active];
+        let mut st = tc_state(vec![committed, active], Vec::new());
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 50,
@@ -493,19 +328,23 @@ mod tests {
 
     #[test]
     fn tc_recovery_redoes_committed_cow() {
-        let mut st = base_state(SchemeKind::TxCache);
-        st.cow[0].push(CowTxShadow {
-            tx: TxId::new(0, 0),
-            records: vec![(heap_word(1), 5)],
-            committed: true,
-            commit_seq: 1,
-        });
-        st.cow[0].push(CowTxShadow {
-            tx: TxId::new(0, 1),
-            records: vec![(heap_word(2), 6)],
-            committed: false,
-            commit_seq: 0,
-        });
+        let mut st = tc_state(
+            Vec::new(),
+            vec![
+                CowTxShadow {
+                    tx: TxId::new(0, 0),
+                    records: vec![(heap_word(1), 5)],
+                    committed: true,
+                    commit_seq: 1,
+                },
+                CowTxShadow {
+                    tx: TxId::new(0, 1),
+                    records: vec![(heap_word(2), 6)],
+                    committed: false,
+                    commit_seq: 0,
+                },
+            ],
+        );
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -519,8 +358,10 @@ mod tests {
 
     #[test]
     fn nvllc_recovery_overlays_committed_lines() {
-        let mut st = base_state(SchemeKind::NvLlc);
-        st.nv_llc_committed.insert(heap_word(3), 11);
+        let mut st = base_state(SchemeCrash::NvLlc {
+            llc_lines: 0,
+            committed: [(heap_word(3), 11)].into_iter().collect(),
+        });
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -533,7 +374,8 @@ mod tests {
 
     #[test]
     fn eadr_recovery_rolls_back_uncommitted_drained_stores() {
-        let mut st = base_state(SchemeKind::Eadr);
+        // The undo log holds the first-write pre-images.
+        let mut st = eadr_state(&[(heap_word(0), 7), (heap_word(1), 0)]);
         // A committed transaction wrote word 0 = 7 (drained to NVM), then
         // an in-flight one overwrote it with 99 and wrote word 1 = 55;
         // the flush-on-failure drain persisted both uncommitted stores.
@@ -549,8 +391,6 @@ mod tests {
         });
         st.nvm.write_word(heap_word(0), 99);
         st.nvm.write_word(heap_word(1), 55);
-        // The undo log holds the first-write pre-images.
-        st.eadr_undo[0] = vec![(heap_word(0), 7), (heap_word(1), 0)];
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(0)), 7, "rolled back to committed");
         assert_eq!(rec.read_word(heap_word(1)), 0, "rolled back to initial");
@@ -560,7 +400,7 @@ mod tests {
         // transaction applied, which the checker's all-or-nothing
         // acceptance allows.
         let mut mutated = st.clone();
-        mutated.eadr_undo[0].clear();
+        set_undo(&mut mutated, &[]);
         let rec = recover(&mutated);
         check_recovery(&mutated, &rec).unwrap();
         // But at a mid-transaction crash only a prefix of the write set
@@ -568,18 +408,18 @@ mod tests {
         // leaves a torn image the checker must reject — this is what the
         // crashgrid `keep-uncommitted-eadr` mutation exercises end to end.
         let mut partial = st.clone();
-        partial.eadr_undo[0] = vec![(heap_word(0), 7)];
+        set_undo(&mut partial, &[(heap_word(0), 7)]);
         partial.nvm.write_word(heap_word(1), 0);
         let rec = recover(&partial);
         check_recovery(&partial, &rec).unwrap();
-        partial.eadr_undo[0].clear();
+        set_undo(&mut partial, &[]);
         let rec = recover(&partial);
         check_recovery(&partial, &rec).unwrap_err();
     }
 
     #[test]
     fn checker_catches_lost_committed_write() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -593,7 +433,7 @@ mod tests {
 
     #[test]
     fn checker_catches_torn_transaction() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         // Uncommitted write leaked to NVM (no journal entry).
         st.nvm.write_word(heap_word(4), 123);
         let rec = recover(&st);
@@ -604,7 +444,7 @@ mod tests {
     #[test]
     fn checker_replays_over_a_non_empty_initial_image() {
         let below_heap = Addr::nvm_base().word();
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         st.initial_nvm = Arc::new(
             [(below_heap, 0xBEEF), (heap_word(2), 5)]
                 .into_iter()
@@ -635,7 +475,7 @@ mod tests {
 
     #[test]
     fn checker_ignores_log_area_noise() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         // Scratch writes below the heap are scheme-private.
         st.nvm
             .write_word(Addr::nvm_base().word(), 0xDEAD);
@@ -645,13 +485,12 @@ mod tests {
 
     #[test]
     fn recovery_cost_reflects_scheme_mechanisms() {
-        use pmacc_types::MachineConfig;
         let machine = MachineConfig::small();
+        let array = machine.txcache.entries() as u64 * 8;
         // Optimal recovers nothing.
-        let opt = base_state(SchemeKind::Optimal);
+        let opt = base_state(SchemeCrash::Optimal);
         assert_eq!(recovery_cost(&opt, &machine), RecoveryCost::default());
         // TC scans its array and replays committed words.
-        let mut tc_state = base_state(SchemeKind::TxCache);
         let mut e = TcEntry {
             state: EntryState::Committed,
             tx: TxId::new(0, 0),
@@ -662,23 +501,70 @@ mod tests {
         };
         e.values[0] = Some(1);
         e.values[1] = Some(2);
-        tc_state.txcaches[0] = vec![e];
-        let c = recovery_cost(&tc_state, &machine);
-        assert_eq!(c.words_replayed, 2);
-        assert!(c.words_scanned >= machine.txcache.entries() as u64 * 8);
+        let c = recovery_cost(&tc_state(vec![e], Vec::new()), &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (array, 2));
         assert!(c.estimated_ns > 0);
         // NVLLC only walks tags.
-        let nv = base_state(SchemeKind::NvLlc);
+        let nv = base_state(SchemeCrash::NvLlc {
+            llc_lines: machine.llc.lines(),
+            committed: Backing::new(),
+        });
         let c = recovery_cost(&nv, &machine);
         assert_eq!(c.words_replayed, 0);
         assert_eq!(c.words_scanned, machine.llc.lines());
+        // SP walks its log once: two words per record and per commit
+        // marker, and redoes only the committed transaction's record.
+        let mut sp_state = base_state(SchemeCrash::Sp);
+        let log = layout::log_area_base(0);
+        let data = layout::persistent_heap_base();
+        for (i, (meta, value)) in [
+            (sp::encode_record(0, data), 7),
+            (sp::encode_commit(0), 0),
+            (sp::encode_record(1, data.offset(8)), 9),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let nvm = &mut sp_state.nvm;
+            nvm.write_word(log.offset(16 * i as u64).word(), meta);
+            nvm.write_word(log.offset(16 * i as u64 + 8).word(), value);
+        }
+        let c = recovery_cost(&sp_state, &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (6, 1));
+        // eADR reads an address and a pre-image per undo record and
+        // writes every pre-image back.
+        let eadr = eadr_state(&[(heap_word(0), 7), (heap_word(1), 0)]);
+        let c = recovery_cost(&eadr, &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (4, 2));
+        // TC reads its whole array plus every COW shadow (two words per
+        // record and two for the commit record) and redoes only the
+        // committed shadow.
+        let cow = tc_state(
+            Vec::new(),
+            vec![
+                CowTxShadow {
+                    tx: TxId::new(0, 0),
+                    records: vec![(heap_word(0), 1), (heap_word(1), 2)],
+                    committed: true,
+                    commit_seq: 1,
+                },
+                CowTxShadow {
+                    tx: TxId::new(0, 1),
+                    records: vec![(heap_word(2), 3)],
+                    committed: false,
+                    commit_seq: 0,
+                },
+            ],
+        );
+        let c = recovery_cost(&cow, &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (array + 6 + 4, 2));
     }
 
     #[test]
     fn recovery_inverts_the_wear_remap() {
         use pmacc_mem::WearMap;
         use pmacc_types::WearConfig;
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         // Rotate a small region through a full start-gap cycle so the
         // mapping is a genuine shift (every line on a different row).
         let mut m = WearMap::new(&WearConfig {
@@ -714,7 +600,7 @@ mod tests {
 
     #[test]
     fn later_commits_overwrite_earlier_ones_in_expectation() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(SchemeCrash::Optimal);
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 1,

@@ -13,9 +13,11 @@
 //! with a crash), the *durable NVM* image (what write-backs, flushes and
 //! transaction-cache drains have landed), and the *initial* NVM image,
 //! built once and shared by every [`CrashState`] for the checker's
-//! replay. The durable image, the STT-RAM transaction caches, the SP log
-//! (parsed out of the NVM image) and the NVLLC committed-line image all
-//! survive a simulated crash; everything else dies with it.
+//! replay. The durable image and the scheme's own durable state (see
+//! [`crate::scheme`]) survive a simulated crash; everything else dies
+//! with it.
+//! Per-scheme behaviour lives in [`crate::scheme`]: `System` matches the
+//! scheme once, in [`System::new_instrumented`], and then calls its hooks.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -29,15 +31,17 @@ use pmacc_types::rng::stream_seed;
 use pmacc_types::{
     layout, AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig,
     MemRegion, MemReq, ReqId, SchemeKind, SimError, TxId, Word, WordAddr, WORDS_PER_LINE,
-    WORD_BYTES,
 };
 use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams};
 
 use crate::metrics::RunReport;
-use crate::recovery::{CowTxShadow, CrashState, TxRecord};
-use crate::scheme;
-use crate::service::{self, ReqTiming, ServeConfig, ServeCore, ServeCoreStats, ServeState};
-use crate::txcache::TxCache;
+use crate::recovery::{CrashState, TxRecord};
+use crate::scheme::eadr::EadrState;
+use crate::scheme::nvllc::NvLlcState;
+use crate::scheme::tc::{TcOrigin, TcState};
+use crate::scheme::{self, SchemeState};
+use crate::service::ServeState;
+use crate::txcache::{TcStats, TxCache};
 
 use pmacc_types::layout::MAX_STRIDED_CORES;
 
@@ -182,7 +186,7 @@ impl Sampler {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
+pub(crate) enum Event {
     CoreStep(usize),
     MemPoke(u8), // 0 = NVM, 1 = DRAM
     TcDrain(usize),
@@ -194,8 +198,9 @@ enum Event {
     Wake,
 }
 
+/// What a memory request in flight was issued for.
 #[derive(Debug, Clone)]
-enum Origin {
+pub(crate) enum Origin {
     LoadFill {
         core: usize,
     },
@@ -208,65 +213,32 @@ enum Origin {
         words: [Word; WORDS_PER_LINE],
         line: LineAddr,
     },
-    TcAck {
-        core: usize,
-        slot: usize,
-        line: LineAddr,
-        values: [Option<Word>; WORDS_PER_LINE],
-        /// Commit order of the owning transaction, so acks of two cores'
-        /// writes to one shared word apply in commit order regardless of
-        /// NVM completion order.
-        seq: u64,
-    },
-    CowData {
-        core: usize,
-    },
-    CowRecord {
-        core: usize,
-        tx: TxId,
-    },
-    CowInstall {
-        core: usize,
-        tx: TxId,
-        word: WordAddr,
-        value: Word,
-        /// Commit order of the overflowed transaction (see `TcAck::seq`).
-        seq: u64,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxEndPhase {
-    WaitCowData,
-    WaitCowRecord,
+    Tc(TcOrigin),
 }
 
 #[derive(Debug)]
-struct CoreCtx {
-    idx: usize,
-    time: Cycle,
+pub(crate) struct CoreCtx {
+    pub(crate) idx: usize,
+    pub(crate) time: Cycle,
     slot_accum: u32,
-    regs: TxRegs,
+    pub(crate) regs: TxRegs,
     sb: StoreBuffer,
     sb_times: VecDeque<Cycle>,
     last_drain: Cycle,
     pending_flushes: usize,
-    blocked: Option<StallKind>,
+    pub(crate) blocked: Option<StallKind>,
     stall_started: Cycle,
     finished: bool,
-    stats: CoreStats,
+    pub(crate) stats: CoreStats,
     // An outstanding demand load: (line, arrival, started, persistent).
     pending_load: Option<(LineAddr, Cycle, Cycle, bool)>,
     // Whether the pending load has been accepted by a memory controller.
     load_inflight: bool,
     // Current-transaction bookkeeping.
-    tx_writes: Vec<(WordAddr, Word)>,
-    tx_lines: Vec<LineAddr>,
-    txend: Option<(TxId, Option<TxEndPhase>)>,
-    // Copy-on-write fall-back state (TC overflow).
-    cow_active: bool,
-    cow_pending: usize,
-    cow_cursor: u64,
+    pub(crate) tx_writes: Vec<(WordAddr, Word)>,
+    pub(crate) tx_lines: Vec<LineAddr>,
+    /// The transaction whose `TX_END` is in progress.
+    pub(crate) txend: Option<TxId>,
     pin_retries: u32,
     /// One-shot pass issued by the deadlock-avoidance rule: the next
     /// conflict check on this core is skipped so the lowest-index member
@@ -297,9 +269,6 @@ impl CoreCtx {
             tx_writes: Vec::new(),
             tx_lines: Vec::new(),
             txend: None,
-            cow_active: false,
-            cow_pending: 0,
-            cow_cursor: 0,
             pin_retries: 0,
             conflict_exempt: false,
             pcommit: None,
@@ -325,12 +294,12 @@ impl CoreCtx {
         }
     }
 
-    fn begin_stall(&mut self, kind: StallKind) {
+    pub(crate) fn begin_stall(&mut self, kind: StallKind) {
         self.blocked = Some(kind);
         self.stall_started = self.time;
     }
 
-    fn end_stall(&mut self, now: Cycle) {
+    pub(crate) fn end_stall(&mut self, now: Cycle) {
         if let Some(kind) = self.blocked.take() {
             let t = now.max(self.stall_started);
             self.stats.add_stall(kind, t - self.stall_started);
@@ -348,12 +317,13 @@ impl CoreCtx {
 /// crash-recovery experiments.
 #[derive(Debug)]
 pub struct System {
-    cfg: MachineConfig,
-    traces: Vec<Trace>,
-    cores: Vec<CoreCtx>,
-    hier: Hierarchy,
-    tcs: Vec<TxCache>,
-    nvm: MemController,
+    pub(crate) cfg: MachineConfig,
+    pub(crate) traces: Vec<Trace>,
+    pub(crate) cores: Vec<CoreCtx>,
+    pub(crate) hier: Hierarchy,
+    /// The running scheme's private state and hooks.
+    pub(crate) scheme: SchemeState,
+    pub(crate) nvm: MemController,
     dram: MemController,
     /// Durable NVM image: what has reached the persistence domain.
     nvm_backing: Backing,
@@ -362,12 +332,7 @@ pub struct System {
     initial_nvm: Arc<Backing>,
     /// Architectural memory: the newest value of every word, persistent
     /// or not, as loads and stores see it through the cache hierarchy.
-    arch: Backing,
-    nv_llc_committed: FxHashMap<WordAddr, Word>,
-    cow_shadow: Vec<Vec<CowTxShadow>>,
-    /// Outstanding home-location installs per overflowed transaction;
-    /// its COW-area shadow is freed (truncated) when this reaches zero.
-    cow_installs: FxHashMap<(usize, TxId), usize>,
+    pub(crate) arch: Backing,
     /// Oracle: per core, per transaction serial, the persistent data
     /// writes the transaction performs — derived statically from the
     /// traces, so it is independent of how far execution got (SP's commit
@@ -389,26 +354,18 @@ pub struct System {
     /// `line` is in `cores[c].tx_lines`; the conflict check reads this map
     /// instead of scanning every remote core's write-set list.
     tx_writers: FxHashMap<LineAddr, u64>,
-    /// eADR only: per core, the first-write pre-image of every persistent
-    /// word the in-flight transaction has overwritten. Under eADR an
-    /// uncommitted store is durable the moment it is written, so rollback
-    /// after a crash needs these pre-images; the log is modeled as part
-    /// of the residual-energy-protected domain and exported by
-    /// [`System::crash_state`]. Cleared at commit; empty for every other
-    /// scheme.
-    eadr_undo: Vec<FxHashMap<WordAddr, Word>>,
     /// Cycle at which measurement started (after warm-up, if any).
     measure_start: Cycle,
     warmup_done: bool,
-    journal: Vec<TxRecord>,
+    pub(crate) journal: Vec<TxRecord>,
     /// Durability-boundary cycles (empty unless
     /// [`RunConfig::record_boundaries`] is set).
     boundaries: Vec<(Cycle, BoundaryClass)>,
     dropped_llc_writes: Counter,
-    clock: Cycle,
+    pub(crate) clock: Cycle,
     events: BinaryHeap<Reverse<(Cycle, u64, Event)>>,
     seq: u64,
-    origins: FxHashMap<ReqId, Origin>,
+    pub(crate) origins: FxHashMap<ReqId, Origin>,
     next_req: u64,
     /// Banked LLC port model: one access per cycle per bank; NVLLC commit
     /// bursts hold a single bank for the full STT-RAM write.
@@ -419,21 +376,17 @@ pub struct System {
     /// Write-backs waiting for memory-controller queue room.
     wb_pending: WriteBackBuffer,
     mem_poke_at: [Option<Cycle>; 2],
-    tc_drain_at: Vec<Option<Cycle>>,
     /// Open-system service mode ([`System::enable_serve`]); `None` runs
     /// the classic closed loop.
-    serve: Option<ServeState>,
+    pub(crate) serve: Option<ServeState>,
     run_cfg: RunConfig,
     sampler: Sampler,
     /// Event-engine effort counters (performance diagnostics).
     pub engine: EngineStats,
     // Cached latencies (cycles).
     lat_l1: Cycle,
-    lat_l2: Cycle,
+    pub(crate) lat_l2: Cycle,
     lat_llc: Cycle,
-    lat_tc: Cycle,
-    /// NVLLC commit-flush (STT-RAM write) port occupancy per line.
-    lat_llc_write: Cycle,
 }
 
 impl System {
@@ -460,8 +413,8 @@ impl System {
     }
 
     /// Like [`System::new`] but the traces are taken as already
-    /// instrumented (used by the SP-fencing ablation, which wants the
-    /// [`crate::scheme::sp::SpMode::Batched`] variant).
+    /// instrumented (used by the SP-fencing ablation, which compares the
+    /// [`crate::scheme::sp::SpMode`] variants).
     ///
     /// # Errors
     ///
@@ -487,8 +440,19 @@ impl System {
                 .map_err(|e| ConfigError::new(format!("bad trace: {e}")))?;
         }
         let freq = cfg.core.freq;
+        // The one place the scheme is matched: its runtime state, whether
+        // the hierarchy pins uncommitted lines in the LLC, and the LLC
+        // latency (Kiln's LLC is an STT-RAM array, slower than SRAM).
+        let (sram, stt) = (cfg.llc.latency_ns, cfg.nvllc.read_ns);
+        let (scheme, pin_uncommitted_in_llc, llc_ns) = match cfg.scheme {
+            SchemeKind::Optimal => (SchemeState::Optimal, false, sram),
+            SchemeKind::Sp => (SchemeState::Sp, false, sram),
+            SchemeKind::TxCache => (SchemeState::Tc(TcState::new(&cfg)), false, sram),
+            SchemeKind::NvLlc => (SchemeState::NvLlc(NvLlcState::new(&cfg)), true, stt),
+            SchemeKind::Eadr => (SchemeState::Eadr(EadrState::new(cfg.cores)), false, sram),
+        };
         let opts = HierarchyOpts {
-            pin_uncommitted_in_llc: cfg.scheme == SchemeKind::NvLlc,
+            pin_uncommitted_in_llc,
         };
         let arch: Backing = initial.iter().copied().collect();
         let nvm_backing: Backing = initial
@@ -500,20 +464,16 @@ impl System {
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
             hier: Hierarchy::new(cfg.cores, cfg.l1, cfg.l2, cfg.llc, opts),
-            tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
+            scheme,
             nvm: MemController::new(MemRegion::Nvm, cfg.nvm, SchedPolicy::FrFcfs),
             dram: MemController::new(MemRegion::Dram, cfg.dram, SchedPolicy::FrFcfs),
             initial_nvm: Arc::new(nvm_backing.clone()),
             nvm_backing,
             arch,
-            nv_llc_committed: FxHashMap::default(),
-            cow_shadow: vec![Vec::new(); cfg.cores],
-            cow_installs: FxHashMap::default(),
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
             shared_word_end: layout::extended_heap_base().word().raw(),
             tx_writers: FxHashMap::default(),
-            eadr_undo: vec![FxHashMap::default(); cfg.cores],
             tx_write_table,
             measure_start: 0,
             warmup_done: false,
@@ -529,21 +489,13 @@ impl System {
             mshr: Mshr::new(16),
             wb_pending: WriteBackBuffer::new(4096),
             mem_poke_at: [None, None],
-            tc_drain_at: vec![None; cfg.cores],
             serve: None,
             run_cfg: *run_cfg,
             sampler: Sampler::new(run_cfg.sample_period),
             engine: EngineStats::default(),
             lat_l1: freq.ns_to_cycles(cfg.l1.latency_ns),
             lat_l2: freq.ns_to_cycles(cfg.l2.latency_ns),
-            // Kiln's LLC is an STT-RAM array: slower than the SRAM LLC.
-            lat_llc: if cfg.scheme == SchemeKind::NvLlc {
-                freq.ns_to_cycles(cfg.nvllc.read_ns)
-            } else {
-                freq.ns_to_cycles(cfg.llc.latency_ns)
-            },
-            lat_llc_write: freq.ns_to_cycles(cfg.nvllc.write_ns),
-            lat_tc: cfg.txcache.latency_cycles(freq),
+            lat_llc: freq.ns_to_cycles(llc_ns),
             traces,
             cfg,
         };
@@ -568,26 +520,8 @@ impl System {
         params: &WorkloadParams,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
-        if cfg.cores > MAX_STRIDED_CORES {
-            return Err(ConfigError::new(format!(
-                "workload striding supports at most {MAX_STRIDED_CORES} cores"
-            ))
-            .into());
-        }
-        let mut traces = Vec::with_capacity(cfg.cores);
-        let mut initial = Vec::new();
-        for core in 0..cfg.cores {
-            let mut p = *params;
-            p.seed = stream_seed(params.seed, core as u64);
-            let w = build_shared(kind, &p);
-            traces.push(stride_trace(&w.trace, core));
-            initial.extend(
-                w.initial
-                    .iter()
-                    .map(|&(a, v)| (stride_word(a, core), v)),
-            );
-        }
-        System::new(cfg, traces, &initial, run_cfg)
+        let kinds = vec![kind; cfg.cores];
+        System::for_workload_mix(cfg, &kinds, params, run_cfg)
     }
 
     /// Builds a system where each core runs a *different* benchmark — a
@@ -619,15 +553,7 @@ impl System {
             ))
             .into());
         }
-        let mut traces = Vec::with_capacity(cfg.cores);
-        let mut initial = Vec::new();
-        for (core, kind) in kinds.iter().enumerate() {
-            let mut p = *params;
-            p.seed = stream_seed(params.seed, core as u64);
-            let w = build_shared(*kind, &p);
-            traces.push(stride_trace(&w.trace, core));
-            initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
-        }
+        let (traces, initial) = striped_workloads(kinds, params);
         System::new(cfg, traces, &initial, run_cfg)
     }
 
@@ -662,192 +588,14 @@ impl System {
         self.clock
     }
 
-    /// Switches the run into open-system service mode: every transaction
-    /// of every core's trace becomes a *request* with the given arrival
-    /// cycle. Cores idle until a request arrives, defer admission while
-    /// the transaction cache or the NVM write queue is saturated
-    /// ([`ServeConfig::tc_high`] / [`ServeConfig::nvm_write_high`]), shed
-    /// requests whose queueing delay exceeds [`ServeConfig::max_wait`],
-    /// and record per-request latency into the histograms returned by
-    /// [`System::serve_stats`].
-    ///
-    /// Must be called before the first [`System::run`]/
-    /// [`System::run_until`] step; intended for runs with
-    /// [`RunConfig::warmup_commits`] of zero (a measurement reset would
-    /// clear the stall baselines mid-request).
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error if the arrival vectors do not match
-    /// the core count or the per-core transaction counts, or if any
-    /// per-core arrival sequence decreases.
-    pub fn enable_serve(&mut self, cfg: ServeConfig) -> Result<(), SimError> {
-        if cfg.arrivals.len() != self.cfg.cores {
-            return Err(ConfigError::new(format!(
-                "{} arrival streams supplied for {} cores",
-                cfg.arrivals.len(),
-                self.cfg.cores
-            ))
-            .into());
-        }
-        let mut cores = Vec::with_capacity(self.cfg.cores);
-        for (c, arrivals) in cfg.arrivals.into_iter().enumerate() {
-            let starts: Vec<usize> = (0..self.traces[c].len())
-                .filter(|&i| matches!(self.traces[c].get(i), Some(Op::TxBegin)))
-                .collect();
-            if arrivals.len() != starts.len() {
-                return Err(ConfigError::new(format!(
-                    "core {c}: {} arrivals for {} trace transactions",
-                    arrivals.len(),
-                    starts.len()
-                ))
-                .into());
-            }
-            if arrivals.windows(2).any(|w| w[0] > w[1]) {
-                return Err(
-                    ConfigError::new(format!("core {c}: arrivals must be non-decreasing")).into(),
-                );
-            }
-            cores.push(ServeCore {
-                arrivals,
-                starts,
-                next_req: 0,
-                cur: None,
-                stats: ServeCoreStats::default(),
-            });
-        }
-        self.serve = Some(ServeState {
-            cores,
-            tc_high: cfg.tc_high,
-            nvm_write_high: cfg.nvm_write_high,
-            max_wait: cfg.max_wait,
-            retry: cfg.retry,
-        });
-        Ok(())
-    }
-
-    /// The per-core open-system statistics, if the run is in service
-    /// mode.
-    #[must_use]
-    pub fn serve_stats(&self) -> Option<Vec<&ServeCoreStats>> {
-        self.serve
-            .as_ref()
-            .map(|s| s.cores.iter().map(|c| &c.stats).collect())
-    }
-
-    /// Whether core `c`'s admission gate sees queue saturation: the
-    /// core's transaction cache at or above its high watermark, or the
-    /// NVM write queue full / above its fill watermark.
-    fn serve_pressure(&self, c: usize) -> bool {
-        let Some(s) = self.serve.as_ref() else {
-            return false;
-        };
-        let tc = &self.tcs[c];
-        let tc_hot =
-            tc.capacity() > 0 && tc.occupancy() as f64 >= s.tc_high * tc.capacity() as f64;
-        let wq = self.cfg.nvm.write_queue as f64;
-        let nvm_hot = self.nvm.write_queue_len() as f64 >= s.nvm_write_high * wq;
-        tc_hot || nvm_hot
-    }
-
-    /// The open-system admission gate, consulted at each request boundary
-    /// (`TX_BEGIN`). Returns `true` when the core must not start the
-    /// transaction this step: it idles until the request's arrival,
-    /// defers under queue pressure, or sheds the request entirely
-    /// (jumping its trace segment and burning its transaction serial so
-    /// later serials stay aligned with the recovery oracle's write
-    /// table).
-    fn serve_gate(&mut self, c: usize) -> bool {
-        let (k, arrival, max_wait) = {
-            let Some(s) = self.serve.as_ref() else {
-                return false;
-            };
-            let sc = &s.cores[c];
-            if sc.cur.is_some() {
-                return false;
-            }
-            let Some(&arr) = sc.arrivals.get(sc.next_req) else {
-                return false;
-            };
-            (sc.next_req, arr, s.max_wait)
-        };
-        let now = self.cores[c].time;
-        if now < arrival {
-            // No request yet: the core idles (batching in
-            // `handle_core_step` turns a long idle into an event-queue
-            // jump, not a spin).
-            self.cores[c].time = arrival;
-            return true;
-        }
-        if max_wait > 0 && now - arrival > max_wait {
-            // Admission control: the request waited past its deadline.
-            let end = {
-                let s = self.serve.as_ref().expect("serve state checked above");
-                s.cores[c]
-                    .starts
-                    .get(k + 1)
-                    .copied()
-                    .unwrap_or_else(|| self.traces[c].len())
-            };
-            self.cores[c].idx = end;
-            self.cores[c].regs.skip();
-            let s = self.serve.as_mut().expect("serve state checked above");
-            s.cores[c].stats.shed += 1;
-            s.cores[c].next_req += 1;
-            return true;
-        }
-        if self.serve_pressure(c) {
-            // Backpressure: hold the request and retry shortly.
-            let retry = self.serve.as_ref().expect("serve state checked above").retry;
-            self.cores[c].time = now + retry;
-            let s = self.serve.as_mut().expect("serve state checked above");
-            s.cores[c].stats.backpressure_events += 1;
-            s.cores[c].stats.backpressure_cycles += retry;
-            return true;
-        }
-        // Admit: timestamp the request and snapshot the stall baselines
-        // for completion-time attribution.
-        let stalls = service::stall_snapshot(&self.cores[c].stats);
-        let s = self.serve.as_mut().expect("serve state checked above");
-        s.cores[c].cur = Some(ReqTiming {
-            arrival,
-            admitted: now,
-            stalls,
-        });
-        s.cores[c].next_req += 1;
-        false
-    }
-
-    /// Books a completed request's sojourn/wait/service times and its
-    /// stall attribution (no-op outside service mode).
-    fn serve_complete(&mut self, c: usize) {
-        if self.serve.is_none() {
-            return;
-        }
-        let now = self.cores[c].time;
-        let end_stalls = service::stall_snapshot(&self.cores[c].stats);
-        let s = self.serve.as_mut().expect("checked above");
-        let Some(req) = s.cores[c].cur.take() else {
-            return;
-        };
-        let st = &mut s.cores[c].stats;
-        st.completed += 1;
-        st.latency.record(now.saturating_sub(req.arrival));
-        st.wait.record(req.admitted.saturating_sub(req.arrival));
-        st.service.record(now.saturating_sub(req.admitted));
-        let (tc, nvm) = service::attribute_stalls(&req.stalls, &end_stalls);
-        st.tc_stall.record(tc);
-        st.nvm_stall.record(nvm);
-    }
-
     /// Appends a durability-boundary record (no-op unless enabled).
-    fn record_boundary(&mut self, class: BoundaryClass) {
+    pub(crate) fn record_boundary(&mut self, class: BoundaryClass) {
         if self.run_cfg.record_boundaries {
             self.boundaries.push((self.clock, class));
         }
     }
 
-    fn push_event(&mut self, at: Cycle, ev: Event) {
+    pub(crate) fn push_event(&mut self, at: Cycle, ev: Event) {
         self.seq += 1;
         self.engine.wakes_scheduled += 1;
         self.events.push(Reverse((at, self.seq, ev)));
@@ -863,18 +611,27 @@ impl System {
         }
     }
 
-    fn schedule_tc_drain(&mut self, c: usize, at: Cycle) {
-        if self.tc_drain_at[c].is_none_or(|t| at < t) {
-            self.tc_drain_at[c] = Some(at);
-            self.push_event(at, Event::TcDrain(c));
-        } else {
-            self.engine.wakes_coalesced += 1;
-        }
+    /// Arms `region`'s controller poke at its next wake-up (`fallback`
+    /// when it reports none), never before the current cycle.
+    pub(crate) fn arm_poke(&mut self, region: MemRegion, fallback: Cycle) {
+        let wake = self.ctrl(region).next_wake().unwrap_or(fallback);
+        self.schedule_mem_poke(region, wake.max(self.clock));
     }
 
-    fn req_id(&mut self) -> ReqId {
+    /// A fresh request id, remembered with what the request was for.
+    pub(crate) fn new_req(&mut self, origin: Origin) -> ReqId {
         self.next_req += 1;
-        ReqId(self.next_req)
+        let id = ReqId(self.next_req);
+        self.origins.insert(id, origin);
+        id
+    }
+
+    /// Hands a write to its region's controller, parking it in the
+    /// write-back buffer when the queue is full.
+    pub(crate) fn enqueue_write(&mut self, req: MemReq, at: Cycle) {
+        if self.ctrl(req.addr.region()).enqueue(req, at).is_err() {
+            self.wb_pending.push(req);
+        }
     }
 
     /// Runs until every core finishes its trace; returns the run report.
@@ -971,8 +728,9 @@ impl System {
         };
         let nvm_writes = self.nvm.outstanding_writes();
         let dram_writes = self.dram.outstanding_writes();
+        let tcs = self.scheme.txcaches();
         let mut values = vec![
-            self.tcs.iter().map(TxCache::occupancy).sum::<usize>() as f64,
+            tcs.iter().map(TxCache::occupancy).sum::<usize>() as f64,
             self.cores.iter().map(|c| c.sb.len()).sum::<usize>() as f64,
             self.nvm.outstanding().saturating_sub(nvm_writes) as f64,
             nvm_writes as f64,
@@ -1007,18 +765,11 @@ impl System {
             s.cycles = c.time.saturating_sub(self.measure_start);
             cores.push(s);
         }
-        let residual_nvm_lines = match self.cfg.scheme {
-            // Dropped on eviction: the TC path already persisted them.
-            SchemeKind::TxCache => 0,
-            // Uncommitted (pinned/tagged) lines are not owed to the NVM.
-            SchemeKind::NvLlc => self.hier.residual_persistent_dirty_lines(true),
-            // eADR caches are ordinary write-back caches in normal
-            // operation (the drain only happens at power loss), so their
-            // dirty lines are still owed to the NVM like Optimal's.
-            SchemeKind::Optimal | SchemeKind::Sp | SchemeKind::Eadr => {
-                self.hier.residual_persistent_dirty_lines(false)
-            }
-        };
+        // Schemes without a transaction cache report zeroed stats.
+        let mut tc = vec![TcStats::default(); self.cfg.cores];
+        for (s, cache) in tc.iter_mut().zip(self.scheme.txcaches()) {
+            s.clone_from(&cache.stats);
+        }
         RunReport {
             scheme: self.cfg.scheme,
             cycles: self
@@ -1032,20 +783,18 @@ impl System {
             hierarchy: self.hier.stats.clone(),
             nvm: self.nvm.stats.clone(),
             dram: self.dram.stats.clone(),
-            tc: self.tcs.iter().map(|t| t.stats.clone()).collect(),
+            tc,
             dropped_llc_writes: self.dropped_llc_writes.value(),
-            residual_nvm_lines,
+            residual_nvm_lines: self.scheme.residual_nvm_lines(&self.hier),
             series: self.sampler.freeze(),
             engine: self.engine,
         }
     }
 
     /// Snapshots the durable state at the current cycle — what survives a
-    /// power failure: the NVM image, the STT-RAM transaction caches, the
-    /// NVLLC committed-line image, the COW areas and (under eADR) the
-    /// flush-on-failure drain of every dirty cache line plus the per-core
-    /// undo logs — together with the golden journal the checker compares
-    /// against.
+    /// power failure: the NVM image (under eADR including the
+    /// flush-on-failure drain) and the scheme's own durable state —
+    /// together with the golden journal the checker compares against.
     ///
     /// With wear leveling on, the NVM image is stored in *device row*
     /// space (translated through the remapper's current registers) plus
@@ -1054,71 +803,29 @@ impl System {
     #[must_use]
     pub fn crash_state(&self) -> CrashState {
         let wear = self.nvm.wear_snapshot();
-        // eADR: residual energy drains every dirty persistent line in
-        // L1/L2/LLC to the NVM at power loss, so the crash image sees
-        // them as-if-flushed — committed or not. The memory-controller
-        // queues were already inside the ADR domain, so write-backs still
-        // in flight (queued, or parked awaiting queue room) drain first,
-        // oldest request id to newest — a line evicted twice lands its
-        // newest snapshot last — and the cache drain lands newest of all.
-        // The whole drain operates on logical line addresses (same path
-        // as a write-back), so it composes *before* the wear remap
-        // translates the image into device rows.
         let mut logical = self.nvm_backing.clone();
-        if self.cfg.scheme == SchemeKind::Eadr {
-            let mut pending: Vec<(ReqId, LineAddr, [Word; WORDS_PER_LINE])> = self
-                .origins
-                .iter()
-                .filter_map(|(&id, origin)| match origin {
-                    Origin::Writeback { line, words } if line.is_persistent() => {
-                        Some((id, *line, *words))
-                    }
-                    _ => None,
-                })
-                .collect();
-            pending.sort_unstable_by_key(|&(id, _, _)| id);
-            for (_, line, words) in pending {
-                logical.write_line(line, &words);
-            }
-            for line in self.hier.dirty_persistent_lines() {
-                let words = self.arch.read_line(line);
-                logical.write_line(line, &words);
-            }
-        }
+        self.failure_drain(&mut logical);
         let nvm = match &wear {
             Some(snap) => snap.to_device(&logical),
             None => logical,
         };
         CrashState {
             cycle: self.clock,
-            scheme: self.cfg.scheme,
             cores: self.cfg.cores,
             nvm,
             wear,
             initial_nvm: Arc::clone(&self.initial_nvm),
-            txcaches: self.tcs.iter().map(|t| t.entries_fifo()).collect(),
-            nv_llc_committed: self.nv_llc_committed.clone(),
-            cow: self.cow_shadow.clone(),
+            scheme_state: self.scheme.crash(),
             journal: self.journal.clone(),
             in_flight: (0..self.cores.len())
                 .map(|c| {
                     let core = &self.cores[c];
-                    let tx = core.regs.current().or(core.txend.map(|(t, _)| t))?;
+                    let tx = core.regs.current().or(core.txend)?;
                     Some(TxRecord {
                         tx,
                         commit_cycle: self.clock,
                         writes: self.oracle_writes(c, tx),
                     })
-                })
-                .collect(),
-            eadr_undo: self
-                .eadr_undo
-                .iter()
-                .map(|m| {
-                    let mut v: Vec<(WordAddr, Word)> =
-                        m.iter().map(|(&w, &val)| (w, val)).collect();
-                    v.sort_unstable_by_key(|&(w, _)| w);
-                    v
                 })
                 .collect(),
         }
@@ -1181,16 +888,7 @@ impl System {
             }
             Some(StallKind::Fence) => self.try_finish_fence(c),
             Some(StallKind::TxCacheFull) => self.try_resume_tc(c),
-            Some(StallKind::PinBlocked) => {
-                self.cores[c].blocked = None;
-                let t = self.clock.max(self.cores[c].time);
-                let started = self.cores[c].stall_started;
-                self.cores[c]
-                    .stats
-                    .add_stall(StallKind::PinBlocked, t.saturating_sub(started));
-                self.cores[c].time = t;
-                self.handle_core_step(c);
-            }
+            Some(StallKind::PinBlocked) => self.resume_now(c),
             Some(StallKind::Conflict) => {
                 // Re-derive the contended line from the store being
                 // retried (the op index did not advance when the stall
@@ -1215,17 +913,17 @@ impl System {
                     self.push_event(at, Event::CoreStep(c));
                     return;
                 }
-                self.cores[c].blocked = None;
-                let t = self.clock.max(self.cores[c].time);
-                let started = self.cores[c].stall_started;
-                self.cores[c]
-                    .stats
-                    .add_stall(StallKind::Conflict, t.saturating_sub(started));
-                self.cores[c].time = t;
-                self.handle_core_step(c);
+                self.resume_now(c);
             }
             _ => {}
         }
+    }
+
+    /// Ends core `c`'s stall at the current cycle and steps it at once.
+    fn resume_now(&mut self, c: usize) {
+        let now = self.clock.max(self.cores[c].time);
+        self.cores[c].end_stall(now);
+        self.handle_core_step(c);
     }
 
     fn step_one(&mut self, c: usize) {
@@ -1264,8 +962,8 @@ impl System {
                 self.do_store(c, addr, meta, StoreKind::Log)
             }
             Op::Flush { addr } => self.do_flush(c, addr),
-            Op::Fence => self.do_fence(c),
-            Op::PCommit => self.do_pcommit(c),
+            Op::Fence => self.do_fence(c, false),
+            Op::PCommit => self.do_fence(c, true),
         }
     }
 
@@ -1283,7 +981,7 @@ impl System {
 
     /// Holds `line`'s LLC bank for `dur` cycles (NVLLC commit bursts),
     /// returning the wait before the hold could start.
-    fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
+    pub(crate) fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
         let b = Self::llc_bank(line);
         let wait = self.llc_port_free[b].saturating_sub(t);
         self.llc_port_free[b] = self.llc_port_free[b].max(t) + dur;
@@ -1342,17 +1040,12 @@ impl System {
                         let pre = self.lat_l1 + self.lat_l2;
                         let wait = self.llc_port_take(line, t + pre);
                         let pre = pre + wait + self.lat_llc;
-                        // Under the TC scheme an LLC miss on a persistent
-                        // line probes the transaction cache *in parallel*
-                        // with the NVM request (§3); a hit serves the fill
-                        // at CAM latency without touching the NVM.
-                        if self.cfg.scheme == SchemeKind::TxCache && persistent {
-                            let hit = self.tc_probe_any(line);
-                            if hit {
-                                self.finish_load(c, pre + self.lat_tc, persistent);
-                                self.cores[c].pin_retries = 0;
-                                return;
-                            }
+                        // An LLC miss on a persistent line may be served by
+                        // a probe issued *in parallel* with the NVM request
+                        // (the TC, §3) without touching the NVM.
+                        if let Some(lat) = self.scheme.miss_probe(line) {
+                            self.finish_load(c, pre + lat, persistent);
+                            return;
                         }
                         // Fill from memory.
                         let arrival = t + pre;
@@ -1371,25 +1064,6 @@ impl System {
         }
     }
 
-    /// Broadcasts an LLC-miss probe to every core's transaction cache,
-    /// stopping at the first hit (as `iter().any` would). A TC whose
-    /// presence filter says the line cannot be buffered skips the CAM
-    /// search entirely but still counts the broadcast as a probe miss —
-    /// the probe statistics feed both the report and the energy model, so
-    /// the filter must be invisible to them.
-    fn tc_probe_any(&mut self, line: LineAddr) -> bool {
-        for tc in &mut self.tcs {
-            if tc.contains_line(line) {
-                if tc.probe(line).is_some() {
-                    return true;
-                }
-            } else {
-                tc.record_probe_miss();
-            }
-        }
-        false
-    }
-
     fn issue_load_fill(&mut self, c: usize, line: LineAddr, arrival: Cycle) {
         // Merge with an outstanding fill of the same line if one exists.
         match self.mshr.allocate(line, c) {
@@ -1406,16 +1080,14 @@ impl System {
                 return;
             }
         }
-        let id = self.req_id();
-        self.origins.insert(id, Origin::LoadFill { core: c });
+        let id = self.new_req(Origin::LoadFill { core: c });
         let region = line.region();
         let req = MemReq::read(id, line, Some(c));
         self.ctrl(region)
             .enqueue(req, arrival)
             .expect("checked can_accept");
         self.cores[c].load_inflight = true;
-        let wake = self.ctrl(region).next_wake().unwrap_or(arrival);
-        self.schedule_mem_poke(region, wake.max(self.clock));
+        self.arm_poke(region, arrival);
     }
 
     fn finish_load(&mut self, c: usize, lat: Cycle, persistent: bool) {
@@ -1440,8 +1112,9 @@ impl System {
         let persistent = addr.is_persistent();
         let in_tx = self.cores[c].regs.in_tx();
         let tx = self.cores[c].regs.current();
-        let tc_route =
-            self.cfg.scheme == SchemeKind::TxCache && persistent && in_tx && kind == StoreKind::Data;
+        // A transactional persistent data store: the one kind of store
+        // the conflict gate and the scheme hooks see.
+        let tx_store = persistent && in_tx && kind == StoreKind::Data;
 
         // Cross-core conflict serialization, checked before any other
         // side effect so the retried op is idempotent: a transactional
@@ -1451,7 +1124,7 @@ impl System {
         // writes reach the persistence domain (§3's program-order rule,
         // lifted across cores). Inert without sharing — striped cores
         // never hold the same line.
-        if persistent && in_tx && kind == StoreKind::Data {
+        if tx_store {
             if self.cores[c].conflict_exempt {
                 self.cores[c].conflict_exempt = false;
             } else if self.conflicting_core(c, addr.line()).is_some() {
@@ -1463,30 +1136,15 @@ impl System {
             }
         }
 
-        // The transaction cache may need to stall *before* any other side
-        // effect so that the retried op is idempotent.
-        if tc_route && !self.cores[c].cow_active {
-            if self.tcs[c].overflow_triggered() {
-                self.overflow_to_cow(c, tx.expect("in tx"));
-            } else if self.tcs[c].is_full() {
-                self.cores[c].begin_stall(StallKind::TxCacheFull);
-                // An acknowledgment completion wakes the core.
-                let at = self.clock + 512;
-                self.push_event(at, Event::CoreStep(c));
-                return;
-            }
+        // The scheme may need to stall *before* any other side effect so
+        // that the retried op is idempotent.
+        if tx_store && self.store_gate(c, tx.expect("in tx")) {
+            return;
         }
 
         let line = addr.line();
-        // NVLLC tags transactional persistent stores so the hierarchy can
-        // pin them; the TC scheme needs no tagging (hierarchy unmodified).
-        let tag = if self.cfg.scheme == SchemeKind::NvLlc && persistent && in_tx {
-            tx
-        } else {
-            None
-        };
         let mut acc = Access::store(line);
-        if let Some(t) = tag {
+        if let Some(t) = tx.filter(|_| persistent && self.scheme.tags_tx_stores()) {
             acc = acc.with_tx(t);
         }
         let outcome = match self.hier.access(c, acc) {
@@ -1500,19 +1158,9 @@ impl System {
         self.note_invalidations(&outcome.invalidated);
         self.route_evictions(outcome.evictions);
 
-        // eADR undo log, first write wins: capture the pre-image of each
-        // word the in-flight transaction overwrites *before* the store
-        // lands in architectural memory. Under eADR the store below is
-        // already durable (the failure drain will persist it), so this
-        // pre-image is what rollback restores if the transaction never
-        // commits. The conflict gate above serialized cross-core writers
-        // of this line, so the pre-image is the latest committed value.
-        if self.cfg.scheme == SchemeKind::Eadr && persistent && in_tx && kind == StoreKind::Data {
-            let w = addr.word();
-            let pre = self.arch.read_word(w);
-            self.eadr_undo[c].entry(w).or_insert(pre);
+        if tx_store {
+            self.scheme.before_tx_store(c, addr.word(), &self.arch);
         }
-
         // Functional: architectural memory state.
         self.arch.write_word(addr.word(), value);
 
@@ -1528,18 +1176,12 @@ impl System {
             }
             None => {
                 let w = self.llc_port_take(line, t);
-                let mut fill = self.lat_l2 + w + self.lat_llc;
-                let region = line.region();
-                if self.cfg.scheme == SchemeKind::TxCache
-                    && persistent
-                    && self.tc_probe_any(line)
-                {
-                    // The parallel TC probe serves the fill.
-                    fill += self.lat_tc;
-                } else {
-                    fill += self.ctrl(region).read_estimate();
+                let fill = self.lat_l2 + w + self.lat_llc;
+                match self.scheme.miss_probe(line) {
+                    // A parallel probe serves the fill.
+                    Some(lat) => fill + lat,
+                    None => fill + self.ctrl(line.region()).read_estimate(),
                 }
-                fill
             }
         };
         self.cores[c].drain_sb();
@@ -1563,17 +1205,8 @@ impl System {
         });
         self.cores[c].sb_times.push_back(drain_at);
 
-        // Scheme-specific persistent-store handling.
-        if tc_route {
-            if self.cores[c].cow_active {
-                self.cow_write(c, tx.expect("in tx"), addr.word(), value);
-            } else {
-                self.tcs[c]
-                    .insert(tx.expect("in tx"), addr.word(), value)
-                    .expect("fullness checked above");
-            }
-        }
-        if persistent && in_tx && kind == StoreKind::Data {
+        if tx_store {
+            self.buffer_tx_store(c, tx.expect("in tx"), addr.word(), value);
             self.cores[c].tx_writes.push((addr.word(), value));
             // Every scheme tracks the written lines: NVLLC commits them,
             // and the conflict check above reads them on remote cores
@@ -1647,9 +1280,10 @@ impl System {
     /// cache entry for it — the P/V flag lives in the TC, decoupled from
     /// the cache states — so only a counter moves here.
     fn note_invalidations(&mut self, invalidated: &[(usize, LineAddr)]) {
+        let tcs = self.scheme.txcaches_mut();
         for &(r, line) in invalidated {
-            if self.tcs[r].contains_line(line) {
-                self.tcs[r].stats.remote_invalidations.inc();
+            if let Some(tc) = tcs.get_mut(r).filter(|tc| tc.contains_line(line)) {
+                tc.stats.remote_invalidations.inc();
             }
         }
     }
@@ -1702,21 +1336,14 @@ impl System {
         self.cores[c].idx += 1;
     }
 
-    fn do_fence(&mut self, c: usize) {
+    /// `sfence`, or with `pcommit` set a `pcommit`, which also snapshots
+    /// the writes the NVM controller has accepted so far and waits for
+    /// them (later arrivals from other cores are not our problem).
+    fn do_fence(&mut self, c: usize, pcommit: bool) {
         self.cores[c].stats.ops.inc();
         self.cores[c].charge(1, self.cfg.core.issue_width);
         self.cores[c].idx += 1;
-        self.cores[c].begin_stall(StallKind::Fence);
-        self.try_finish_fence(c);
-    }
-
-    fn do_pcommit(&mut self, c: usize) {
-        self.cores[c].stats.ops.inc();
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].idx += 1;
-        // Snapshot: wait for everything the controller has accepted so
-        // far (later arrivals from other cores are not our problem).
-        self.cores[c].pcommit = Some(self.nvm.writes_accepted());
+        self.cores[c].pcommit = pcommit.then(|| self.nvm.writes_accepted());
         self.cores[c].begin_stall(StallKind::Fence);
         self.try_finish_fence(c);
     }
@@ -1756,79 +1383,20 @@ impl System {
     fn do_txend(&mut self, c: usize) {
         if self.cores[c].txend.is_none() {
             let tx = self.cores[c].regs.end();
-            self.cores[c].txend = Some((tx, None));
-            match self.cfg.scheme {
-                // eADR commits are free: every store is already durable,
-                // so TX_END only has to publish the commit (retire the
-                // journal entry and release the conflict gate) — same
-                // instant-retirement path as Optimal and SP.
-                SchemeKind::Optimal | SchemeKind::Sp | SchemeKind::Eadr => self.finish_txend(c),
-                SchemeKind::TxCache => {
-                    // The commit order is the journal index this
-                    // transaction takes: `finish_txend` pushes it within
-                    // this same event in the non-COW case. In the COW
-                    // case the TC holds no entries for this transaction
-                    // (overflow discarded them), so this stamp is a
-                    // no-op; the shadow's authoritative order is set when
-                    // its commit record persists.
-                    let seq = self.journal.len() as u64 + 1;
-                    self.tcs[c].commit(tx, seq);
-                    let at = self.clock.max(self.cores[c].time);
-                    self.schedule_tc_drain(c, at);
-                    if self.cores[c].cow_active {
-                        self.cores[c].begin_stall(StallKind::TxCacheFull);
-                        self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowData)));
-                        self.try_resume_tc(c);
-                    } else {
-                        self.finish_txend(c);
-                    }
-                }
-                SchemeKind::NvLlc => {
-                    // Blocking commit flush: push the transaction's dirty
-                    // lines from L1/L2 into the nonvolatile LLC, occupying
-                    // the LLC write port (the §5.2 "bursts of traffic").
-                    let lines: Vec<LineAddr> = self.cores[c].tx_lines.clone();
-                    let t0 = self.cores[c].time;
-                    let mut t = t0;
-                    for line in lines {
-                        let moved = self.hier.demote_tx_line(c, line, tx);
-                        if moved {
-                            // Read the private copy (L2 latency) and
-                            // initiate the LLC write; the core moves on to
-                            // the next line while the STT-RAM write holds
-                            // the bank — that hold is what "blocks
-                            // subsequent cache and memory requests during
-                            // transaction commits" (§5.2).
-                            let w = self.llc_port_hold(line, t, self.lat_llc_write);
-                            t += w + self.lat_l2 + 1;
-                        }
-                        self.hier.unpin_line(line);
-                    }
-                    if t > t0 {
-                        self.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
-                        self.cores[c].time = t;
-                    }
-                    // Functional: these values are now committed in the
-                    // nonvolatile LLC.
-                    for &(w, v) in &self.cores[c].tx_writes {
-                        self.nv_llc_committed.insert(w, v);
-                    }
-                    self.finish_txend(c);
-                }
-            }
+            self.cores[c].txend = Some(tx);
+            self.scheme_txend(c, tx);
         } else if self.cores[c].blocked.is_none() {
             self.finish_txend(c);
         }
     }
 
-    fn finish_txend(&mut self, c: usize) {
-        let (tx, _) = self.cores[c].txend.take().expect("txend in progress");
+    /// Retires core `c`'s `TX_END`: the transaction enters the journal.
+    pub(crate) fn finish_txend(&mut self, c: usize) {
+        let tx = self.cores[c].txend.take().expect("txend in progress");
         self.record_boundary(BoundaryClass::TxEnd);
         self.cores[c].tx_writes.clear();
         self.clear_tx_lines(c);
-        // The committed transaction's eADR undo pre-images are dead: its
-        // stores are now the committed image.
-        self.eadr_undo[c].clear();
+        self.scheme.tx_retired(c);
         // This retirement is exactly when a remote core stalled on one of
         // this transaction's lines may proceed, so wake Conflict-blocked
         // cores now instead of leaving them to the periodic retry
@@ -1870,8 +1438,8 @@ impl System {
         self.hier.stats = pmacc_cache::HierarchyStats::new(self.cfg.cores);
         self.nvm.stats = pmacc_mem::MemStats::new();
         self.dram.stats = pmacc_mem::MemStats::new();
-        for tc in &mut self.tcs {
-            tc.stats = crate::txcache::TcStats::default();
+        for tc in self.scheme.txcaches_mut() {
+            tc.stats = TcStats::default();
         }
         self.dropped_llc_writes = Counter::new();
         // Stall totals just reset, so the sampler's deltas must restart
@@ -1880,179 +1448,18 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Transaction-cache paths (drain, overflow COW)
-    // ------------------------------------------------------------------
-
-    fn handle_tc_drain(&mut self, c: usize) {
-        if self.tc_drain_at[c] != Some(self.clock) {
-            return; // stale or duplicate drain event
-        }
-        self.tc_drain_at[c] = None;
-        // §3: "different write requests of conflicted addresses are issued
-        // to the NVM in program order". An overflowed transaction's COW
-        // installs are earlier in program order than anything still in
-        // the FIFO, so drains wait until the installs are durable.
-        if self.cow_installs.keys().any(|(core, _)| *core == c) {
-            return; // the last install completion re-arms the drain
-        }
-        let mut issued = 0;
-        let budget = self.cfg.txcache.drain_per_cycle;
-        while issued < budget {
-            let Some((slot, entry)) = self.tcs[c].next_issue() else {
-                return;
-            };
-            if !self.nvm.can_accept(AccessKind::Write) {
-                // Retry after the queue drains a little.
-                let at = self.clock + 32;
-                self.schedule_tc_drain(c, at);
-                return;
-            }
-            let id = self.req_id();
-            self.origins.insert(
-                id,
-                Origin::TcAck {
-                    core: c,
-                    slot,
-                    line: entry.line,
-                    values: entry.values,
-                    seq: entry.commit_seq,
-                },
-            );
-            let req = MemReq::write(id, entry.line, Some(c), pmacc_types::WriteCause::TxCacheDrain)
-                .with_tx(entry.tx);
-            self.nvm.enqueue(req, self.clock).expect("checked can_accept");
-            self.tcs[c].mark_issued(slot);
-            issued += 1;
-        }
-        let wake = self.nvm.next_wake().unwrap_or(self.clock);
-        self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
-        if self.tcs[c].next_issue().is_some() {
-            self.schedule_tc_drain(c, self.clock + 1);
-        }
-    }
-
-    fn try_resume_tc(&mut self, c: usize) {
-        // Two reasons to be TxCacheFull-blocked: a store waiting for a
-        // free entry, or a COW'd transaction waiting out its commit.
-        match self.cores[c].txend {
-            Some((tx, Some(TxEndPhase::WaitCowData))) => {
-                if self.cores[c].cow_pending == 0 {
-                    // All shadow data durable: persist the commit record.
-                    let id = self.req_id();
-                    self.origins.insert(id, Origin::CowRecord { core: c, tx });
-                    let line = layout::cow_area_base(c)
-                        .offset(self.cores[c].cow_cursor * WORD_BYTES)
-                        .line();
-                    self.cores[c].cow_cursor += 8;
-                    let req =
-                        MemReq::write(id, line, Some(c), pmacc_types::WriteCause::Cow).with_tx(tx);
-                    if self.nvm.enqueue(req, self.clock).is_err() {
-                        self.wb_pending.push(req);
-                    }
-                    let wake = self.nvm.next_wake().unwrap_or(self.clock);
-                    self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
-                    self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowRecord)));
-                }
-            }
-            Some((_, Some(TxEndPhase::WaitCowRecord))) => {
-                // Completion handler finishes the commit.
-            }
-            _ => {
-                // A store stalled on a full FIFO: resume when room exists.
-                if !self.tcs[c].is_full() {
-                    let now = self.clock.max(self.cores[c].time);
-                    self.cores[c].end_stall(now);
-                    self.push_event(now, Event::CoreStep(c));
-                }
-            }
-        }
-    }
-
-    fn overflow_to_cow(&mut self, c: usize, tx: TxId) {
-        self.tcs[c].stats.overflows.inc();
-        self.cores[c].cow_active = true;
-        // Migrate the transaction's buffered entries to the COW area.
-        let entries = self.tcs[c].entries_fifo();
-        let mut moved = Vec::new();
-        for e in entries {
-            if e.tx == tx && e.state == crate::txcache::EntryState::Active {
-                for (i, v) in e.values.iter().enumerate() {
-                    if let Some(v) = v {
-                        moved.push((e.line.word(i), *v));
-                    }
-                }
-            }
-        }
-        self.tcs[c].discard_active(tx);
-        for (w, v) in moved {
-            self.cow_write(c, tx, w, v);
-        }
-    }
-
-    fn cow_write(&mut self, c: usize, tx: TxId, word: WordAddr, value: Word) {
-        // Record the shadow copy in *issue* (program) order; NVM writes
-        // may complete out of order across banks, but the commit record is
-        // only written after every shadow ack, so a committed shadow is
-        // always fully durable and must replay in program order.
-        if let Some(last) = self.cow_shadow[c].last_mut().filter(|s| s.tx == tx && !s.committed)
-        {
-            last.records.push((word, value));
-        } else {
-            self.cow_shadow[c].push(CowTxShadow {
-                tx,
-                records: vec![(word, value)],
-                committed: false,
-                commit_seq: 0,
-            });
-        }
-        let id = self.req_id();
-        self.origins.insert(id, Origin::CowData { core: c });
-        let line = layout::cow_area_base(c)
-            .offset(self.cores[c].cow_cursor * WORD_BYTES)
-            .line();
-        self.cores[c].cow_cursor += 2;
-        self.cores[c].cow_pending += 1;
-        let req = MemReq::write(id, line, Some(c), pmacc_types::WriteCause::Cow).with_tx(tx);
-        if self.nvm.enqueue(req, self.clock.max(self.cores[c].time)).is_err() {
-            self.wb_pending.push(req);
-        }
-        let wake = self.nvm.next_wake().unwrap_or(self.clock);
-        self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
-    }
-
-    // ------------------------------------------------------------------
     // Eviction routing and write-backs
     // ------------------------------------------------------------------
-
-    fn snapshot_committed(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        // NVLLC write-backs carry the *committed* version of the line.
-        let mut out = [0; WORDS_PER_LINE];
-        for (i, w) in line.words().enumerate() {
-            out[i] = self
-                .nv_llc_committed
-                .get(&w)
-                .copied()
-                .unwrap_or_else(|| self.nvm_backing.read_word(w));
-        }
-        out
-    }
 
     fn route_evictions(&mut self, evictions: Vec<Eviction>) {
         for ev in evictions {
             if !ev.dirty {
                 continue;
             }
-            let persistent = ev.line.is_persistent();
-            if persistent && self.cfg.scheme == SchemeKind::TxCache {
-                // §3: dirty persistent LLC evictions are simply dropped —
-                // the transaction cache is the only persistent path.
+            let kept = self.scheme.writeback(ev.line, &self.arch, &self.nvm_backing);
+            let Some(words) = kept else {
                 self.dropped_llc_writes.inc();
                 continue;
-            }
-            let words = if persistent && self.cfg.scheme == SchemeKind::NvLlc {
-                self.snapshot_committed(ev.line)
-            } else {
-                self.arch.read_line(ev.line)
             };
             self.post_write(
                 ev.line,
@@ -2063,29 +1470,17 @@ impl System {
     }
 
     fn post_write(&mut self, line: LineAddr, cause: pmacc_types::WriteCause, origin: Origin) {
-        let id = self.req_id();
-        self.origins.insert(id, origin);
-        let req = MemReq::write(id, line, None, cause);
-        let region = line.region();
-        let arrival = self.clock;
-        if self.ctrl(region).enqueue(req, arrival).is_err() {
-            self.wb_pending.push(req);
-        }
-        let wake = self.ctrl(region).next_wake().unwrap_or(arrival);
-        self.schedule_mem_poke(region, wake.max(self.clock));
+        let id = self.new_req(origin);
+        self.enqueue_write(MemReq::write(id, line, None, cause), self.clock);
+        self.arm_poke(line.region(), self.clock);
     }
 
+    /// Offers every parked write to its controller once, oldest first;
+    /// the ones still refused park again in the same order.
     fn drain_wb_pending(&mut self) {
-        let mut remaining = Vec::new();
-        while let Some(req) = self.wb_pending.pop() {
-            let region = req.addr.region();
-            let now = self.clock;
-            if self.ctrl(region).enqueue(req, now).is_err() {
-                remaining.push(req);
-            }
-        }
-        for req in remaining {
-            self.wb_pending.push(req);
+        for _ in 0..self.wb_pending.len() {
+            let req = self.wb_pending.pop().expect("counted above");
+            self.enqueue_write(req, self.clock);
         }
     }
 
@@ -2177,109 +1572,7 @@ impl System {
                     self.try_finish_fence(core);
                 }
             }
-            Origin::TcAck {
-                core,
-                slot,
-                line,
-                values,
-                seq,
-            } => {
-                self.record_boundary(BoundaryClass::DrainAck);
-                for (i, v) in values.iter().enumerate() {
-                    if let Some(v) = v {
-                        self.durable_write(line.word(i), *v, seq);
-                    }
-                }
-                self.tcs[core].ack_slot(slot);
-                self.schedule_tc_drain(core, self.clock);
-                if self.cores[core].blocked == Some(StallKind::TxCacheFull) {
-                    self.try_resume_tc(core);
-                }
-            }
-            Origin::CowData { core } => {
-                // The shadow copy (already recorded at issue, in program
-                // order) is durable now.
-                self.cores[core].cow_pending -= 1;
-                if self.cores[core].blocked == Some(StallKind::TxCacheFull) {
-                    self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                    self.try_resume_tc(core);
-                }
-            }
-            Origin::CowRecord { core, tx } => {
-                self.record_boundary(BoundaryClass::CowCommit);
-                // The journal index this transaction takes: its
-                // `finish_txend` runs below, within this same event.
-                let seq = self.journal.len() as u64 + 1;
-                if let Some(s) = self.cow_shadow[core]
-                    .iter_mut()
-                    .rev()
-                    .find(|s| s.tx == tx)
-                {
-                    s.committed = true;
-                    s.commit_seq = seq;
-                }
-                // Install the shadow copies in their home locations; the
-                // shadow is truncated once every install is durable.
-                let records: Vec<(WordAddr, Word)> = self
-                    .cow_shadow[core]
-                    .iter()
-                    .rev()
-                    .find(|s| s.tx == tx)
-                    .map(|s| s.records.clone())
-                    .unwrap_or_default();
-                if records.is_empty() {
-                    self.cow_shadow[core].retain(|s| s.tx != tx);
-                } else {
-                    self.cow_installs.insert((core, tx), records.len());
-                }
-                for (w, v) in records {
-                    let id = self.req_id();
-                    self.origins.insert(
-                        id,
-                        Origin::CowInstall {
-                            core,
-                            tx,
-                            word: w,
-                            value: v,
-                            seq,
-                        },
-                    );
-                    let req =
-                        MemReq::write(id, w.line(), Some(core), pmacc_types::WriteCause::Cow);
-                    if self.nvm.enqueue(req, self.clock).is_err() {
-                        self.wb_pending.push(req);
-                    }
-                }
-                let wake = self.nvm.next_wake().unwrap_or(self.clock);
-                self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
-                // The overflowed transaction is durable; finish TX_END.
-                self.cores[core].cow_active = false;
-                self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                self.cores[core].end_stall(comp.done_at);
-                self.finish_txend(core);
-                let at = self.cores[core].time;
-                self.push_event(at, Event::CoreStep(core));
-            }
-            Origin::CowInstall {
-                core,
-                tx,
-                word,
-                value,
-                seq,
-            } => {
-                self.record_boundary(BoundaryClass::CowCommit);
-                self.durable_write(word, value, seq);
-                if let Some(n) = self.cow_installs.get_mut(&(core, tx)) {
-                    *n -= 1;
-                    if *n == 0 {
-                        // Every home copy is durable: free the COW area
-                        // and release the core's drain barrier.
-                        self.cow_installs.remove(&(core, tx));
-                        self.cow_shadow[core].retain(|s| s.tx != tx);
-                        self.schedule_tc_drain(core, self.clock);
-                    }
-                }
-            }
+            Origin::Tc(origin) => self.tc_complete(origin, comp.done_at),
         }
     }
 
@@ -2289,7 +1582,7 @@ impl System {
     /// window words keep the highest-`seq` value. Private (striped) words
     /// — both below the window and in the extended bank above it — never
     /// alias across cores and skip the sequence map entirely.
-    fn durable_write(&mut self, word: WordAddr, value: Word, seq: u64) {
+    pub(crate) fn durable_write(&mut self, word: WordAddr, value: Word, seq: u64) {
         if (self.shared_word_base..self.shared_word_end).contains(&word.raw()) {
             let e = self.durable_word_seq.entry(word).or_insert(0);
             if *e > seq {
@@ -2320,10 +1613,33 @@ fn tx_writes_of(trace: &Trace) -> Vec<Vec<(WordAddr, Word)>> {
     out
 }
 
+/// The raw per-core traces and the combined initial image of a striped
+/// multiprogrammed run — what [`System::for_workload_mix`] simulates.
+/// Core `c` runs an instance of `kinds[c]` seeded with
+/// `stream_seed(params.seed, c)` (memoized across the process), its
+/// addresses striped into its own slice. Public for harnesses that
+/// instrument the traces themselves (e.g. the SP-fencing ablation).
+#[must_use]
+pub fn striped_workloads(
+    kinds: &[WorkloadKind],
+    params: &WorkloadParams,
+) -> (Vec<Trace>, Vec<(WordAddr, Word)>) {
+    let mut traces = Vec::with_capacity(kinds.len());
+    let mut initial = Vec::new();
+    for (core, &kind) in kinds.iter().enumerate() {
+        let mut p = *params;
+        p.seed = stream_seed(params.seed, core as u64);
+        let w = build_shared(kind, &p);
+        traces.push(stride_trace(&w.trace, core));
+        initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
+    }
+    (traces, initial)
+}
+
 /// Shifts a trace's heap addresses into `core`'s private 1 GiB slice —
 /// the transformation [`System::for_workload`] applies so per-core
 /// workload instances stay disjoint. Public for harnesses that need to
-/// pre-instrument traces (e.g. the SP-fencing ablation).
+/// pre-instrument traces.
 #[must_use]
 pub fn stride_trace(trace: &Trace, core: usize) -> Trace {
     trace
@@ -2392,6 +1708,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeConfig;
     use pmacc_types::layout::CORE_STRIDE;
     use pmacc_workloads::build;
 
@@ -2847,7 +2164,11 @@ mod tests {
             state.cycle, 500,
             "the snapshot is stamped with the requested crash cycle"
         );
-        assert_eq!(state.txcaches.len(), 2);
+        assert!(
+            matches!(&state.scheme_state, crate::scheme::SchemeCrash::TxCache { txcaches, cow, .. }
+                if txcaches.len() == 2 && cow.len() == 2),
+            "one transaction-cache array and COW area per core"
+        );
     }
 
     #[test]

@@ -74,6 +74,17 @@ impl Backing {
             .map_or(0, |c| c.words[addr.index_in_line()])
     }
 
+    /// Reads one word if it was ever written (`None` otherwise, even
+    /// though [`Backing::read_word`] would return zero for it) — the
+    /// lookup an overlay image needs to tell "written as zero" from
+    /// "never written".
+    #[must_use]
+    pub fn get(&self, addr: WordAddr) -> Option<Word> {
+        let cell = self.lines.get(&addr.line())?;
+        let i = addr.index_in_line();
+        (cell.mask & (1 << i) != 0).then_some(cell.words[i])
+    }
+
     /// Writes one word.
     pub fn write_word(&mut self, addr: WordAddr, value: Word) {
         let cell = self.lines.entry(addr.line()).or_insert(LineCell::empty());
@@ -236,6 +247,18 @@ mod tests {
         }
         let got: Vec<(u64, u64)> = b.iter().map(|(w, v)| (w.raw(), v)).collect();
         assert_eq!(got, vec![(3, 2), (8, 4), (99, 3), (168, 5), (170, 1)]);
+    }
+
+    #[test]
+    fn get_tells_written_zero_from_never_written() {
+        let mut b = Backing::new();
+        assert_eq!(b.get(WordAddr::new(5)), None);
+        b.write_word(WordAddr::new(5), 0);
+        assert_eq!(b.get(WordAddr::new(5)), Some(0));
+        // A neighbour in the same line stays unwritten.
+        assert_eq!(b.get(WordAddr::new(4)), None);
+        b.write_line(LineAddr::new(0), &[3; WORDS_PER_LINE]);
+        assert_eq!(b.get(WordAddr::new(4)), Some(3));
     }
 
     #[test]

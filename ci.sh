@@ -14,6 +14,14 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# Every harness binary answers --help with its usage and exit status 0;
+# the release build above already produced all six.
+echo "==> --help on every pmacc-bench binary"
+for bin in reproduce regress crashgrid serve simulate tracestat; do
+    "${CARGO_TARGET_DIR:-target}/release/$bin" --help > /dev/null \
+        || { echo "$bin --help exited nonzero" >&2; exit 1; }
+done
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

@@ -1,21 +1,19 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! ```text
-//! reproduce [--quick|--full] [--bars] [--csv DIR] [--json FILE]
-//!           [--seed N] [--jobs N] [--list] [experiment ...]
-//! ```
-//!
-//! With no experiment arguments, everything runs; `--list` prints the
-//! experiment names (one per line, the authoritative list — this doc
-//! comment deliberately does not repeat it). A mistyped name exits
-//! nonzero with a "did you mean" suggestion.
+//! `reproduce --help` lists the flags. With no experiment arguments,
+//! everything runs; `--list` prints the experiment names (one per line,
+//! the authoritative list — this doc comment deliberately does not
+//! repeat it). A mistyped name exits nonzero with a "did you mean"
+//! suggestion.
 //!
 //! Output is markdown on stdout (progress goes to stderr), so
 //! `reproduce > results.md` captures a complete report. `--json FILE`
 //! additionally writes the machine-readable document assembled by
 //! [`pmacc_bench::report::full_report`] — per-cell reports with sampled
 //! time series, key metrics, and every rendered table — for plotting
-//! tools and the `regress` gate's `BENCH` artifacts.
+//! tools and the `regress` gate's `BENCH` artifacts. `--bars` adds a
+//! text bar chart under each table and `--csv DIR` writes one CSV per
+//! table.
 //!
 //! Independent simulation cells fan out over the `pmacc_bench::pool`
 //! worker pool: `--jobs N` (or the `PMACC_JOBS` environment variable)
@@ -26,9 +24,9 @@
 use std::process::ExitCode;
 
 use pmacc::RunConfig;
+use pmacc_bench::cli::{self, Args, Flag, Spec};
 use pmacc_bench::figures;
 use pmacc_bench::grid::{run_grid_opts, Scale};
-use pmacc_bench::pool::Options;
 use pmacc_bench::{report, suggest};
 use pmacc_types::MachineConfig;
 
@@ -68,84 +66,53 @@ const ALL_EXPERIMENTS: [&str; 22] = [
     "ablation-sp-fencing",
 ];
 
-fn usage() -> String {
-    format!(
-        "usage: reproduce [--quick|--full] [--bars] [--csv DIR] [--json FILE] \
-         [--seed N] [--jobs N] [--list] [experiment ...]\n\
-         experiments: {}",
-        ALL_EXPERIMENTS.join(" ")
-    )
+fn spec() -> Spec {
+    Spec {
+        name: "reproduce",
+        flags: vec![
+            Flag::switch("--quick"),
+            Flag::switch("--full"),
+            Flag::switch("--bars"),
+            Flag::value("--csv", "DIR"),
+            Flag::json(),
+            Flag::seed(),
+            Flag::jobs(),
+            Flag::switch("--list"),
+        ],
+        positional: Some("[experiment ...]"),
+        notes: format!("experiments: {}\n", ALL_EXPERIMENTS.join(" ")),
+    }
 }
 
 fn main() -> ExitCode {
-    let mut scale = Scale::Default;
-    let mut seed = 42u64;
-    let mut bars = false;
-    let mut csv_dir: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut opts = Options {
-        progress: true,
-        ..Options::default()
-    };
-    let mut wanted: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
-            "--bars" => bars = true,
-            "--list" => {
-                for e in ALL_EXPERIMENTS {
-                    println!("{e}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--csv" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--csv needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                csv_dir = Some(dir);
-            }
-            "--json" => {
-                let Some(path) = args.next() else {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(path);
-            }
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--jobs" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = v;
-            }
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            other if ALL_EXPERIMENTS.contains(&other) => wanted.push(other.to_string()),
-            other => {
-                match suggest::closest(other, &ALL_EXPERIMENTS) {
-                    Some(s) => eprintln!("unknown experiment `{other}`; did you mean `{s}`?"),
-                    None => eprintln!("unknown experiment `{other}`"),
-                }
-                eprintln!("run `reproduce --list` for the experiment names");
-                return ExitCode::FAILURE;
-            }
+    cli::main(&spec(), run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, String> {
+    if args.has("--list") {
+        for e in ALL_EXPERIMENTS {
+            println!("{e}");
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    let scale = args.scale(Scale::Default);
+    let seed = args.seed()?;
+    let opts = args.options()?;
+    for w in args.positionals() {
+        if !ALL_EXPERIMENTS.contains(&w.as_str()) {
+            let hint = suggest::closest(w, &ALL_EXPERIMENTS)
+                .map(|s| format!("; did you mean `{s}`?"))
+                .unwrap_or_default();
+            return Err(format!(
+                "unknown experiment `{w}`{hint}\nrun `reproduce --list` for the experiment names"
+            ));
         }
     }
-    if wanted.is_empty() {
-        wanted = ALL_EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
-    }
+    let wanted: Vec<&str> = if args.positionals().is_empty() {
+        ALL_EXPERIMENTS.to_vec()
+    } else {
+        args.positionals().iter().map(String::as_str).collect()
+    };
 
     println!("# pmacc reproduction report\n");
     println!(
@@ -154,27 +121,23 @@ fn main() -> ExitCode {
 
     // The grid-derived figures share one grid; run it once if any is
     // requested.
-    let needs_grid = wanted.iter().any(|w| GRID_EXPERIMENTS.contains(&w.as_str()));
+    let needs_grid = wanted.iter().any(|w| GRID_EXPERIMENTS.contains(w));
     let grid = if needs_grid {
         eprintln!(
             "running the {scale} scheme x workload grid on {} worker(s) ...",
             opts.jobs
         );
-        match run_grid_opts(scale, seed, &RunConfig::default(), &opts) {
-            Ok(g) => Some(g),
-            Err(e) => {
-                eprintln!("grid failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let grid = run_grid_opts(scale, seed, &RunConfig::default(), &opts)
+            .map_err(|e| format!("grid failed: {e}"))?;
+        Some(grid)
     } else {
         None
     };
 
     let mut rendered: Vec<(String, pmacc_bench::FigTable)> = Vec::new();
-    for w in &wanted {
+    for &w in &wanted {
         eprintln!("rendering {w} ...");
-        let table = match w.as_str() {
+        let table = match w {
             "table1" => Ok(figures::table1(&MachineConfig::dac17())),
             "table2" => Ok(figures::table2(&MachineConfig::dac17())),
             "table3" => Ok(figures::table3(scale, seed)),
@@ -201,36 +164,21 @@ fn main() -> ExitCode {
             "ablation-sp-fencing" => figures::ablation_sp_fencing(scale, seed, &opts),
             _ => unreachable!("validated above"),
         };
-        match table {
-            Ok(t) => {
-                print!("{t}");
-                if bars {
-                    println!("```text\n{}```\n", t.to_bars());
-                }
-                if let Some(dir) = &csv_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir)
-                        .and_then(|()| std::fs::write(format!("{dir}/{w}.csv"), t.to_csv()))
-                    {
-                        eprintln!("cannot write {dir}/{w}.csv: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                rendered.push((w.clone(), t));
-            }
-            Err(e) => {
-                eprintln!("{w} failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        let t = table.map_err(|e| format!("{w} failed: {e}"))?;
+        print!("{t}");
+        if args.has("--bars") {
+            println!("```text\n{}```\n", t.to_bars());
         }
+        if let Some(dir) = args.value("--csv") {
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(format!("{dir}/{w}.csv"), t.to_csv()))
+                .map_err(|e| format!("cannot write {dir}/{w}.csv: {e}"))?;
+        }
+        rendered.push((w.to_string(), t));
     }
 
-    if let Some(path) = &json_path {
-        let doc = report::full_report(scale, seed, grid.as_ref(), &rendered);
-        if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
+    if let Some(path) = args.json() {
+        cli::write_json(path, &report::full_report(scale, seed, grid.as_ref(), &rendered))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

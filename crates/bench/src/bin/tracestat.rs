@@ -1,15 +1,12 @@
 //! Analyzes a trace file (the `pmacc_cpu::text` format, as written by
 //! `simulate --dump-trace`): op mix, transaction statistics, write-set
 //! size distribution and footprint — the numbers that size a transaction
-//! cache for a workload.
-//!
-//! ```text
-//! tracestat FILE [FILE ...]
-//! ```
+//! cache for a workload. `tracestat --help` prints the usage.
 
 use std::collections::HashSet;
 use std::process::ExitCode;
 
+use pmacc_bench::cli::{self, Args, Spec};
 use pmacc_cpu::text::from_text;
 use pmacc_cpu::{Op, Trace};
 
@@ -92,27 +89,27 @@ fn analyze(name: &str, trace: &Trace) {
     }
 }
 
+fn spec() -> Spec {
+    Spec {
+        name: "tracestat",
+        flags: Vec::new(),
+        positional: Some("FILE [FILE ...]"),
+        notes: "FILE is a trace in the pmacc_cpu::text format\n".into(),
+    }
+}
+
 fn main() -> ExitCode {
-    let files: Vec<String> = std::env::args().skip(1).collect();
-    if files.is_empty() || files.iter().any(|f| f == "--help" || f == "-h") {
-        eprintln!("usage: tracestat FILE [FILE ...]   (format: pmacc_cpu::text)");
-        return ExitCode::FAILURE;
+    cli::main(&spec(), run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, String> {
+    if args.positionals().is_empty() {
+        return Err("no trace file given (see --help)".into());
     }
-    for file in files {
-        let text = match std::fs::read_to_string(&file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match from_text(&text) {
-            Ok(trace) => analyze(&file, &trace),
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    for file in args.positionals() {
+        let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+        let trace = from_text(&text).map_err(|e| format!("{file}: {e}"))?;
+        analyze(file, &trace);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -65,6 +65,21 @@ pub const OVERFLOW_TC_ENTRIES: u64 = 4;
 /// How far (in cycles) jittered points may land from their boundary.
 const JITTER_WINDOW: u64 = 96;
 
+/// Minimum crash points per cell: the schedule is padded with extra
+/// deterministic points if the boundary clusters and the stratified
+/// sweep dedup below it.
+const MIN_POINTS: usize = 360;
+
+/// Stratified crash points spread evenly across each run.
+const STRATIFIED: usize = 256;
+
+/// Per-class boundary budget: at most this many boundaries of each
+/// class get a jittered cluster (evenly strided over the timeline).
+const BOUNDARY_BUDGET: usize = 40;
+
+/// Violations stored verbatim per cell (the count is always exact).
+const MAX_STORED_VIOLATIONS: usize = 4;
+
 /// A deliberate recovery defect, applied to the crash snapshot before
 /// recovery runs — mutation testing for the campaign itself: a campaign
 /// that cannot catch these cannot be trusted to catch real regressions.
@@ -86,6 +101,17 @@ pub enum Mutation {
 }
 
 impl Mutation {
+    /// Every mutation, in display order.
+    #[must_use]
+    pub fn all() -> [Mutation; 4] {
+        [
+            Mutation::None,
+            Mutation::DropCommittedTc,
+            Mutation::SkipCowReplay,
+            Mutation::KeepUncommittedEadr,
+        ]
+    }
+
     /// Applies the defect to a crash snapshot (a no-op on schemes the
     /// defect does not concern).
     pub fn apply(self, state: &mut CrashState) {
@@ -130,13 +156,10 @@ impl FromStr for Mutation {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "none" => Ok(Mutation::None),
-            "drop-committed-tc" => Ok(Mutation::DropCommittedTc),
-            "skip-cow-replay" => Ok(Mutation::SkipCowReplay),
-            "keep-uncommitted-eadr" => Ok(Mutation::KeepUncommittedEadr),
-            other => Err(format!("unknown mutation `{other}`")),
-        }
+        Mutation::all()
+            .into_iter()
+            .find(|m| m.to_string() == s)
+            .ok_or_else(|| format!("unknown mutation `{s}`"))
     }
 }
 
@@ -253,48 +276,24 @@ impl CellSpec {
 
 /// Campaign-wide knobs. [`CampaignConfig::quick`] is the CI
 /// configuration; the smoke tests shrink `workloads`/`core_counts` for
-/// speed.
+/// speed. Every cell generates its workload with
+/// [`WorkloadParams::tiny`] at the campaign seed (the per-core op count
+/// doubles as the minimizer's prefix-reduction knob), and every
+/// violation in an expect-consistent cell is minimized into a
+/// [`Reproducer`].
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Base seed; each cell derives its own jitter stream from it.
     pub seed: u64,
-    /// Schemes swept (all four by default — `Optimal` as a control).
+    /// Schemes swept (all five by default — `Optimal` as a control).
     pub schemes: Vec<SchemeKind>,
     /// Workloads swept.
     pub workloads: Vec<WorkloadKind>,
     /// Core counts swept.
     pub core_counts: Vec<usize>,
-    /// Workload generation parameters (the per-core op count doubles as
-    /// the minimizer's prefix-reduction knob).
-    pub params: WorkloadParams,
-    /// Add the tiny-TC overflow cell (TxCache × rbtree) when those axes
-    /// are enabled.
-    pub overflow_cell: bool,
-    /// Add the cross-core conflict cells: TxCache/NVLLC × {sps,
-    /// hashtable} × sharing {2, 4} eighths on two cores, plus one eADR
-    /// cell and one Optimal control at the highest fraction.
-    pub sharing_cells: bool,
-    /// Add the wear-leveling cells: TxCache/NVLLC × {sps, hashtable}
-    /// plus one eADR cell on two cores with start-gap remapping on,
-    /// proving recovery reconstructs the remap table from the crash
-    /// snapshot.
-    pub wear_cells: bool,
     /// Deliberate recovery defect (mutation testing); [`Mutation::None`]
     /// in CI.
     pub mutation: Mutation,
-    /// Minimum crash points per cell (the schedule is padded with extra
-    /// deterministic points if the boundary clusters and stratified sweep
-    /// dedup below it).
-    pub min_points: usize,
-    /// Stratified points spread evenly across the run.
-    pub stratified: usize,
-    /// Per-class boundary budget: at most this many boundaries of each
-    /// class get a jittered cluster (evenly strided over the timeline).
-    pub boundary_budget: usize,
-    /// Violations stored verbatim per cell (the count is always exact).
-    pub max_stored_violations: usize,
-    /// Binary-search + prefix-reduce violations into reproducers.
-    pub minimize: bool,
 }
 
 impl CampaignConfig {
@@ -308,138 +307,68 @@ impl CampaignConfig {
             schemes: SchemeKind::all().to_vec(),
             workloads: WorkloadKind::all().to_vec(),
             core_counts: vec![1, 2],
-            params: WorkloadParams::tiny(seed),
-            overflow_cell: true,
-            sharing_cells: true,
-            wear_cells: true,
             mutation: Mutation::None,
-            min_points: 360,
-            stratified: 256,
-            boundary_budget: 40,
-            max_stored_violations: 4,
-            minimize: true,
         }
     }
 
-    /// The cell list, in deterministic sweep order (workload-major, then
-    /// scheme, then core count, with the overflow cell and the sharing
-    /// cells appended last).
+    /// The cell list, in deterministic sweep order: workload-major, then
+    /// scheme, then core count, followed by the tiny-TC overflow cell
+    /// (TxCache × rbtree), the cross-core conflict cells (TxCache/NVLLC
+    /// × {sps, hashtable} × sharing {2, 4} eighths on two cores, plus
+    /// one eADR cell and one Optimal control at the highest fraction)
+    /// and the wear-leveling cells (TxCache/NVLLC × {sps, hashtable}
+    /// plus one eADR cell on two cores with start-gap remapping on,
+    /// proving recovery reconstructs the remap table from the crash
+    /// snapshot), each only where the swept axes include it.
     #[must_use]
     pub fn cells(&self) -> Vec<CellSpec> {
+        use SchemeKind::{Eadr, NvLlc, Optimal, TxCache};
+        use WorkloadKind::{Hashtable, Rbtree, Sps};
+        let spec = |workload, scheme, cores, sharing, wear| CellSpec {
+            workload,
+            scheme,
+            cores,
+            tc_entries: None,
+            sharing,
+            wear,
+        };
         let mut out = Vec::new();
         for &workload in &self.workloads {
             for &scheme in &self.schemes {
                 for &cores in &self.core_counts {
-                    out.push(CellSpec {
-                        workload,
-                        scheme,
-                        cores,
-                        tc_entries: None,
-                        sharing: 0,
-                        wear: false,
-                    });
+                    out.push(spec(workload, scheme, cores, 0, false));
                 }
             }
         }
-        if self.overflow_cell
-            && self.schemes.contains(&SchemeKind::TxCache)
-            && self.workloads.contains(&WorkloadKind::Rbtree)
-        {
-            out.push(CellSpec {
-                workload: WorkloadKind::Rbtree,
-                scheme: SchemeKind::TxCache,
-                cores: self.core_counts.first().copied().unwrap_or(1),
-                tc_entries: Some(OVERFLOW_TC_ENTRIES),
-                sharing: 0,
-                wear: false,
-            });
-        }
-        if self.sharing_cells {
-            for &workload in &[WorkloadKind::Sps, WorkloadKind::Hashtable] {
-                if !self.workloads.contains(&workload) {
-                    continue;
-                }
-                for &scheme in &[SchemeKind::TxCache, SchemeKind::NvLlc] {
-                    if !self.schemes.contains(&scheme) {
-                        continue;
-                    }
-                    for sharing in [2, 4] {
-                        out.push(CellSpec {
-                            workload,
-                            scheme,
-                            cores: 2,
-                            tc_entries: None,
-                            sharing,
-                            wear: false,
-                        });
-                    }
-                }
-            }
-            // One eADR contention cell: crashes inside cross-core
-            // conflict windows where the losing core's drained-but-
-            // uncommitted stores must roll back to the *winner's*
-            // committed values, not the initial image.
-            if self.schemes.contains(&SchemeKind::Eadr)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Eadr,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 4,
-                    wear: false,
-                });
-            }
-            if self.schemes.contains(&SchemeKind::Optimal)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Optimal,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 4,
-                    wear: false,
-                });
+        let first_cores = self.core_counts.first().copied().unwrap_or(1);
+        let mut extra = vec![CellSpec {
+            tc_entries: Some(OVERFLOW_TC_ENTRIES),
+            ..spec(Rbtree, TxCache, first_cores, 0, false)
+        }];
+        for workload in [Sps, Hashtable] {
+            for scheme in [TxCache, NvLlc] {
+                extra.extend([2, 4].map(|sharing| spec(workload, scheme, 2, sharing, false)));
             }
         }
-        if self.wear_cells {
-            for &workload in &[WorkloadKind::Sps, WorkloadKind::Hashtable] {
-                if !self.workloads.contains(&workload) {
-                    continue;
-                }
-                for &scheme in &[SchemeKind::TxCache, SchemeKind::NvLlc] {
-                    if !self.schemes.contains(&scheme) {
-                        continue;
-                    }
-                    out.push(CellSpec {
-                        workload,
-                        scheme,
-                        cores: 2,
-                        tc_entries: None,
-                        sharing: 0,
-                        wear: true,
-                    });
-                }
-            }
-            // One eADR wear cell: the flush-on-failure drain happens in
-            // logical line space and must compose with the start-gap
-            // remap — the snapshot stores the drained image in device
-            // rows, so recovery must invert the remap *and* roll back.
-            if self.schemes.contains(&SchemeKind::Eadr)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Eadr,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 0,
-                    wear: true,
-                });
+        // One eADR contention cell: crashes inside cross-core conflict
+        // windows where the losing core's drained-but-uncommitted stores
+        // must roll back to the *winner's* committed values, not the
+        // initial image.
+        extra.push(spec(Sps, Eadr, 2, 4, false));
+        extra.push(spec(Sps, Optimal, 2, 4, false));
+        for workload in [Sps, Hashtable] {
+            for scheme in [TxCache, NvLlc] {
+                extra.push(spec(workload, scheme, 2, 0, true));
             }
         }
+        // One eADR wear cell: the flush-on-failure drain happens in
+        // logical line space and must compose with the start-gap remap —
+        // the snapshot stores the drained image in device rows, so
+        // recovery must invert the remap *and* roll back.
+        extra.push(spec(Sps, Eadr, 2, 0, true));
+        out.extend(extra.into_iter().filter(|c| {
+            self.schemes.contains(&c.scheme) && self.workloads.contains(&c.workload)
+        }));
         out
     }
 }
@@ -870,7 +799,6 @@ fn build_schedule(
     total: Cycle,
     boundaries: &[(Cycle, BoundaryClass)],
     cell_seed: u64,
-    cfg: &CampaignConfig,
 ) -> BTreeMap<Cycle, PointClass> {
     let mut sched: BTreeMap<Cycle, PointClass> = BTreeMap::new();
     let mut rng = Rng::seed_from_u64(cell_seed);
@@ -891,7 +819,7 @@ fn build_schedule(
         }
         // Evenly stride the class down to its budget so clusters cover
         // the whole timeline, not just its start.
-        let stride = cycles.len().div_ceil(cfg.boundary_budget).max(1);
+        let stride = cycles.len().div_ceil(BOUNDARY_BUDGET).max(1);
         for b in cycles.iter().copied().step_by(stride) {
             let jitter_lo = 2 + rng.bounded(JITTER_WINDOW);
             let jitter_hi = 2 + rng.bounded(JITTER_WINDOW);
@@ -906,9 +834,8 @@ fn build_schedule(
             }
         }
     }
-    let n = cfg.stratified.max(2);
-    for i in 0..n {
-        let p = 1 + (horizon - 1) * i as u64 / (n as u64 - 1);
+    for i in 0..STRATIFIED as u64 {
+        let p = 1 + (horizon - 1) * i / (STRATIFIED as u64 - 1);
         sched.entry(p).or_insert(PointClass::Stratified);
     }
     sched
@@ -917,7 +844,7 @@ fn build_schedule(
     // Top up: short runs can dedup below the floor; draw deterministic
     // extra points until it holds (or the timeline is exhausted).
     let mut attempts = 0;
-    while sched.len() < cfg.min_points && attempts < 10_000 {
+    while sched.len() < MIN_POINTS && attempts < 10_000 {
         attempts += 1;
         let p = 1 + rng.bounded(horizon);
         sched.entry(p).or_insert(PointClass::Stratified);
@@ -934,17 +861,18 @@ fn sweep_cell(
     cfg: &CampaignConfig,
     cell_seed: u64,
 ) -> Result<(CellResult, Option<(Cycle, Cycle)>), String> {
-    let mut learn = build_system(spec, &cfg.params, true).map_err(|e| e.to_string())?;
+    let params = WorkloadParams::tiny(cfg.seed);
+    let mut learn = build_system(spec, &params, true).map_err(|e| e.to_string())?;
     let report = learn.run().map_err(|e| e.to_string())?;
     let total = report.cycles;
-    let sched = build_schedule(total, learn.boundaries(), cell_seed, cfg);
+    let sched = build_schedule(total, learn.boundaries(), cell_seed);
     drop(learn);
 
     let mut coverage = Coverage::default();
     for class in sched.values() {
         coverage.count(*class);
     }
-    let mut sys = build_system(spec, &cfg.params, false).map_err(|e| e.to_string())?;
+    let mut sys = build_system(spec, &params, false).map_err(|e| e.to_string())?;
     let mut violations = Vec::new();
     let mut violation_count = 0usize;
     let mut first_fail: Option<(Cycle, Cycle)> = None;
@@ -962,7 +890,7 @@ fn sweep_cell(
                 if first_fail.is_none() {
                     first_fail = Some((crash_at, last_good));
                 }
-                if violations.len() < cfg.max_stored_violations {
+                if violations.len() < MAX_STORED_VIOLATIONS {
                     violations.push(Violation {
                         crash_cycle: crash_at,
                         class,
@@ -1045,7 +973,7 @@ fn minimize(
     first_fail: Cycle,
     last_good: Cycle,
 ) -> Result<Reproducer, String> {
-    let mut params = cfg.params;
+    let mut params = WorkloadParams::tiny(cfg.seed);
     params.sharing = spec.sharing;
     let mut cycle = earliest_failing_cycle(spec, &params, cfg.mutation, last_good, first_fail)?;
     while params.num_ops > 1 {
@@ -1108,7 +1036,7 @@ pub fn run_campaign(cfg: &CampaignConfig, opts: &Options) -> Result<CampaignRepo
             Job::new(spec.label(), move || {
                 let (result, bracket) = sweep_cell(&spec, &cfg, cell_seed)?;
                 let repro = match bracket {
-                    Some((fail, good)) if result.expect_consistent && cfg.minimize => {
+                    Some((fail, good)) if result.expect_consistent => {
                         Some(minimize(&spec, &cfg, fail, good)?)
                     }
                     _ => None,
@@ -1139,15 +1067,14 @@ mod tests {
 
     #[test]
     fn schedule_meets_the_density_floor_and_covers_classes() {
-        let cfg = CampaignConfig::quick(1);
         let boundaries = vec![
             (100, BoundaryClass::TxEnd),
             (250, BoundaryClass::DrainAck),
             (400, BoundaryClass::TxEnd),
             (650, BoundaryClass::CowCommit),
         ];
-        let sched = build_schedule(1_000_000, &boundaries, 7, &cfg);
-        assert!(sched.len() >= cfg.min_points, "{} points", sched.len());
+        let sched = build_schedule(1_000_000, &boundaries, 7);
+        assert!(sched.len() >= MIN_POINTS, "{} points", sched.len());
         let classes: std::collections::BTreeSet<PointClass> =
             sched.values().copied().collect();
         for want in [
@@ -1162,14 +1089,13 @@ mod tests {
         // Boundary clusters straddle their boundary cycles.
         assert!(sched.contains_key(&99) && sched.contains_key(&100) && sched.contains_key(&101));
         // Deterministic: same seed, same schedule.
-        assert_eq!(sched, build_schedule(1_000_000, &boundaries, 7, &cfg));
-        assert_ne!(sched, build_schedule(1_000_000, &boundaries, 8, &cfg));
+        assert_eq!(sched, build_schedule(1_000_000, &boundaries, 7));
+        assert_ne!(sched, build_schedule(1_000_000, &boundaries, 8));
     }
 
     #[test]
     fn schedule_tops_up_short_timelines() {
-        let cfg = CampaignConfig::quick(1);
-        let sched = build_schedule(500, &[], 3, &cfg);
+        let sched = build_schedule(500, &[], 3);
         // A 500-cycle run cannot dedup 360 points out of existence: the
         // top-up draws until the floor holds or the timeline saturates.
         assert!(sched.len() >= 350, "{} points", sched.len());

@@ -2,9 +2,14 @@
 //! listed in `DESIGN.md`.
 //!
 //! The figure renderers that *run* simulations (the ablation sweeps,
-//! recovery, mix, warm) take a [`pool::Options`] and submit their cells
-//! to the worker pool; renderers over an already-computed
-//! [`GridResults`] are pure formatting.
+//! recovery, mix, sharing, wear, warm) take a [`pool::Options`] and run
+//! their cells through [`run_cells`]. Only [`recovery_table`], which
+//! crashes its runs midway, and [`ablation_sp_fencing`], which
+//! pre-instruments its traces, submit their own jobs to the worker
+//! pool. Renderers over an already-computed [`GridResults`] are pure
+//! formatting.
+
+use std::collections::BTreeMap;
 
 use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::hwcost::HwOverhead;
@@ -13,9 +18,9 @@ use pmacc::scheme::sp::{self, SpMode};
 use pmacc::{striped_workloads, RunConfig, RunReport, System};
 use pmacc_cpu::StallKind;
 use pmacc_types::{MachineConfig, SchemeKind, SimError, WriteCause};
-use pmacc_workloads::{build, WorkloadKind};
+use pmacc_workloads::{build, WorkloadKind, WorkloadParams};
 
-use crate::grid::{run_cell, run_cells, run_grid_opts, GridResults, Scale};
+use crate::grid::{run_cells, run_grid_opts, Cell, GridResults, Scale};
 use crate::pool::{self, Job, Options};
 use crate::table::{norm, FigTable};
 
@@ -337,26 +342,22 @@ pub fn mix(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError
             "p-load latency (norm)".into(),
         ],
     );
-    let params = scale.params(seed);
     let schemes = [
         SchemeKind::Optimal,
         SchemeKind::Sp,
         SchemeKind::TxCache,
         SchemeKind::NvLlc,
     ];
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = schemes
+    let cells = schemes
         .iter()
-        .map(|&scheme| {
-            let machine = scale.machine().with_scheme(scheme);
-            Job::new(format!("mix/{scheme}"), move || {
-                System::for_workload_mix(machine, &kinds, &params, &RunConfig::default())?.run()
-            })
+        .map(|&scheme| Cell {
+            label: format!("mix/{scheme}"),
+            machine: scale.machine().with_scheme(scheme),
+            kinds: kinds.to_vec(),
+            params: scale.params(seed),
         })
         .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let reports = run_cells(cells, &RunConfig::default(), opts)?;
     let b = &reports[0]; // Optimal is submitted first.
     for (scheme, r) in schemes.iter().zip(&reports) {
         t.push_row(vec![
@@ -405,23 +406,22 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
             }
         }
     }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
+    let params = |fraction| WorkloadParams {
+        sharing: fraction,
+        ..scale.params(seed)
+    };
+    let cells = keys
         .iter()
         .map(|&(kind, fraction, scheme)| {
             let machine = scale.machine().with_scheme(scheme);
-            let mut params = scale.params(seed);
-            params.sharing = fraction;
-            Job::new(format!("sharing/{kind}/sh{fraction}/{scheme}"), move || {
-                System::for_workload(machine, kind, &params, &RunConfig::default())?.run()
-            })
+            let label = format!("sharing/{kind}/sh{fraction}/{scheme}");
+            Cell::uniform(label, machine, kind, params(fraction))
         })
         .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = std::collections::BTreeMap::new();
-    for (key, report) in keys.iter().zip(reports) {
-        results.insert(*key, report?);
-    }
+    let results: BTreeMap<_, _> = keys
+        .into_iter()
+        .zip(run_cells(cells, &RunConfig::default(), opts)?)
+        .collect();
     // Directory-stress subsection: the same sweep's SPS workload at 16
     // cores, where the LLC sharer-bitmap directory is what keeps snoops
     // O(sharers) instead of O(cores). Two fractions bracket the range
@@ -435,25 +435,19 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
             dir_keys.push((fraction, scheme));
         }
     }
-    let dir_jobs: Vec<Job<Result<RunReport, SimError>>> = dir_keys
+    let dir_cells = dir_keys
         .iter()
         .map(|&(fraction, scheme)| {
             let mut machine = scale.machine().with_scheme(scheme);
             machine.cores = DIR_CORES;
-            let mut params = scale.params(seed);
-            params.sharing = fraction;
-            Job::new(format!("sharing/sps16/sh{fraction}/{scheme}"), move || {
-                System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?
-                    .run()
-            })
+            let label = format!("sharing/sps16/sh{fraction}/{scheme}");
+            Cell::uniform(label, machine, WorkloadKind::Sps, params(fraction))
         })
         .collect();
-    let dir_reports = pool::run_jobs(dir_jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut dir_results = std::collections::BTreeMap::new();
-    for (key, report) in dir_keys.iter().zip(dir_reports) {
-        dir_results.insert(*key, report?);
-    }
+    let dir_results: BTreeMap<_, _> = dir_keys
+        .into_iter()
+        .zip(run_cells(dir_cells, &RunConfig::default(), opts)?)
+        .collect();
     let mut t = FigTable::new(
         "Extension: sharing",
         "Scaling across shared-line fractions (4 cores; sps also at 16)",
@@ -478,22 +472,25 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
     let tc_remote = |r: &RunReport| -> u64 {
         r.tc.iter().map(|c| c.remote_invalidations.value()).sum()
     };
+    let cell_row = |workload: String, fraction, scheme, r: &RunReport, base: &RunReport| {
+        vec![
+            workload,
+            fraction_label(fraction).into(),
+            scheme_label(scheme).into(),
+            norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
+            conflicts(r).to_string(),
+            format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
+            r.hierarchy.coherence.remote_invalidations.value().to_string(),
+            r.hierarchy.coherence.shared_fills.value().to_string(),
+            tc_remote(r).to_string(),
+        ]
+    };
     for kind in KINDS {
         for fraction in FRACTIONS {
             let base = &results[&(kind, fraction, SchemeKind::Optimal)];
             for scheme in SchemeKind::all() {
                 let r = &results[&(kind, fraction, scheme)];
-                t.push_row(vec![
-                    kind.to_string(),
-                    fraction_label(fraction).into(),
-                    scheme_label(scheme).into(),
-                    norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
-                    conflicts(r).to_string(),
-                    format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
-                    r.hierarchy.coherence.remote_invalidations.value().to_string(),
-                    r.hierarchy.coherence.shared_fills.value().to_string(),
-                    tc_remote(r).to_string(),
-                ]);
+                t.push_row(cell_row(kind.to_string(), fraction, scheme, r, base));
             }
         }
     }
@@ -530,17 +527,7 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
         let base = &dir_results[&(fraction, SchemeKind::Optimal)];
         for scheme in SchemeKind::all() {
             let r = &dir_results[&(fraction, scheme)];
-            t.push_row(vec![
-                "sps (16c)".into(),
-                fraction_label(fraction).into(),
-                scheme_label(scheme).into(),
-                norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
-                conflicts(r).to_string(),
-                format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
-                r.hierarchy.coherence.remote_invalidations.value().to_string(),
-                r.hierarchy.coherence.shared_fills.value().to_string(),
-                tc_remote(r).to_string(),
-            ]);
+            t.push_row(cell_row("sps (16c)".into(), fraction, scheme, r, base));
         }
     }
     Ok(t)
@@ -631,26 +618,22 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
             }
         }
     }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
+    let lvl_label = |l: bool| if l { "on" } else { "off" };
+    let cells = keys
         .iter()
         .map(|&(kind, leveling, scheme)| {
             let mut machine = scale.machine().with_scheme(scheme);
             if leveling {
                 machine.nvm.wear = leveled;
             }
-            let params = scale.params(seed);
-            let lvl = if leveling { "on" } else { "off" };
-            Job::new(format!("wear/{kind}/wl-{lvl}/{scheme}"), move || {
-                System::for_workload(machine, kind, &params, &RunConfig::default())?.run()
-            })
+            let label = format!("wear/{kind}/wl-{}/{scheme}", lvl_label(leveling));
+            Cell::uniform(label, machine, kind, scale.params(seed))
         })
         .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = std::collections::BTreeMap::new();
-    for (key, report) in keys.iter().zip(reports) {
-        results.insert(*key, report?);
-    }
+    let results: BTreeMap<_, _> = keys
+        .into_iter()
+        .zip(run_cells(cells, &RunConfig::default(), opts)?)
+        .collect();
     let mut t = FigTable::new(
         "Extension: wear",
         "NVM endurance and start-gap wear leveling, per scheme",
@@ -681,7 +664,6 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
             "leveled lifetime (runs)".into(),
         ],
     );
-    let lvl_label = |l: bool| if l { "on" } else { "off" };
     let hot_lifetime = |r: &RunReport| {
         pmacc_mem::projected_lifetime_seconds(
             r.nvm.max_writes_per_line(),
@@ -975,10 +957,11 @@ pub fn ablation_txcache_size(scale: Scale, seed: u64, opts: &Options) -> Result<
         let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
         machine.txcache.size_bytes = size;
         for kind in [WorkloadKind::Sps, WorkloadKind::Rbtree] {
-            cells.push((format!("tc-size {size} B/{kind}"), machine.clone(), kind));
+            let label = format!("tc-size {size} B/{kind}");
+            cells.push(Cell::uniform(label, machine.clone(), kind, scale.params(seed)));
         }
     }
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
+    let reports = run_cells(cells, &RunConfig::default(), opts)?;
     let rows: Vec<(u64, RunReport, RunReport)> = sizes
         .iter()
         .zip(reports.chunks_exact(2))
@@ -1029,14 +1012,11 @@ pub fn ablation_overflow(scale: Scale, seed: u64, opts: &Options) -> Result<FigT
             let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
             machine.txcache.size_bytes = 512;
             machine.txcache.overflow_threshold = threshold;
-            (
-                format!("overflow {:.0}%/rbtree", threshold * 100.0),
-                machine,
-                WorkloadKind::Rbtree,
-            )
+            let label = format!("overflow {:.0}%/rbtree", threshold * 100.0);
+            Cell::uniform(label, machine, WorkloadKind::Rbtree, scale.params(seed))
         })
         .collect();
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
+    let reports = run_cells(cells, &RunConfig::default(), opts)?;
     for (threshold, r) in thresholds.iter().zip(reports) {
         t.push_row(vec![
             format!("{:.0}%", threshold * 100.0),
@@ -1092,10 +1072,11 @@ pub fn ablation_nvm_latency(scale: Scale, seed: u64, opts: &Options) -> Result<F
         for scheme in schemes {
             let mut machine = scale.machine().with_scheme(scheme);
             machine.nvm = *nvm;
-            cells.push((format!("nvm {label}/{scheme}"), machine, WorkloadKind::Rbtree));
+            let label = format!("nvm {label}/{scheme}");
+            cells.push(Cell::uniform(label, machine, WorkloadKind::Rbtree, scale.params(seed)));
         }
     }
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
+    let reports = run_cells(cells, &RunConfig::default(), opts)?;
     for ((label, _), point) in sweep.into_iter().zip(reports.chunks_exact(schemes.len())) {
         let opt = point[0].ipc(); // Optimal is submitted first per point.
         t.push_row(vec![
@@ -1135,14 +1116,11 @@ pub fn ablation_coalesce(scale: Scale, seed: u64, opts: &Options) -> Result<FigT
         .map(|&coalesce| {
             let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
             machine.txcache.coalesce = coalesce;
-            (
-                format!("coalesce {}/btree", if coalesce { "on" } else { "off" }),
-                machine,
-                WorkloadKind::Btree,
-            )
+            let label = format!("coalesce {}/btree", if coalesce { "on" } else { "off" });
+            Cell::uniform(label, machine, WorkloadKind::Btree, scale.params(seed))
         })
         .collect();
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
+    let reports = run_cells(cells, &RunConfig::default(), opts)?;
     for (coalesce, r) in modes.into_iter().zip(reports) {
         let inserts: u64 = r.tc.iter().map(|s| s.inserts.value()).sum();
         let coalesced: u64 = r.tc.iter().map(|s| s.coalesced.value()).sum();
@@ -1188,7 +1166,7 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
     {
         let machine = machine.clone().with_scheme(SchemeKind::Optimal);
         jobs.push(Job::new("sp-fencing baseline/sps", move || {
-            run_cell(machine, WorkloadKind::Sps, scale, seed)
+            System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?.run()
         }));
     }
     let modes = [SpMode::Batched, SpMode::Strict];

@@ -1,10 +1,11 @@
-//! The §5 experiment matrix: 4 schemes × 5 workloads on the Table 2
+//! The §5 experiment matrix: 5 schemes × 5 workloads on the Table 2
 //! machine (capacity-scaled; see `EXPERIMENTS.md`).
 //!
 //! Every cell is one independent [`System`] run — a (workload, scheme)
 //! pair at a [`Scale`] and seed — so the grid fans out over the
-//! [`crate::pool`] worker pool; [`run_grid_opts`] takes the worker
-//! count explicitly. Results are keyed and ordered
+//! [`crate::pool`] worker pool; [`run_cells`] is the one runner every
+//! simulating figure shares, and [`run_grid_opts`] builds the keyed grid
+//! from it. Results are keyed and ordered
 //! deterministically regardless of which worker finished first, so the
 //! same seed produces the same [`GridResults`] (and the same rendered
 //! `results.md`) at any job count.
@@ -14,7 +15,7 @@
 //! use pmacc_bench::pool::Options;
 //! use pmacc::RunConfig;
 //!
-//! // The whole 20-cell grid on 4 workers, with per-cell progress lines.
+//! // The whole 25-cell grid on 4 workers, with per-cell progress lines.
 //! let grid = run_grid_opts(
 //!     Scale::Quick,
 //!     42,
@@ -141,13 +142,45 @@ impl GridResults {
     }
 }
 
-/// Runs the grid with an explicit worker count: every (workload, scheme)
-/// cell becomes one job on the [`crate::pool`] worker pool.
+/// One simulation cell: the machine, the benchmark each core runs and
+/// the workload parameters, under a label for progress lines and panic
+/// reports.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Progress and panic label (for a grid cell: `workload/scheme`).
+    pub label: String,
+    /// The simulated machine, scheme included.
+    pub machine: MachineConfig,
+    /// The benchmark of each core (one entry per core).
+    pub kinds: Vec<WorkloadKind>,
+    /// Workload generation parameters.
+    pub params: WorkloadParams,
+}
+
+impl Cell {
+    /// A cell running `kind` on every core of `machine`.
+    #[must_use]
+    pub fn uniform(
+        label: String,
+        machine: MachineConfig,
+        kind: WorkloadKind,
+        params: WorkloadParams,
+    ) -> Self {
+        let kinds = vec![kind; machine.cores];
+        Cell {
+            label,
+            machine,
+            kinds,
+            params,
+        }
+    }
+}
+
+/// Runs every (workload, scheme) cell of the grid on the worker pool.
 ///
-/// The result map is keyed, not positional, and the pool returns jobs in
-/// submission order, so `GridResults` is identical at any `opts.jobs` —
-/// the determinism regression test compares `jobs = 1` against
-/// `jobs = 4` bit for bit.
+/// The result map is keyed, not positional, so `GridResults` is
+/// identical at any `opts.jobs` — the determinism regression test
+/// compares `jobs = 1` against `jobs = 4` bit for bit.
 ///
 /// # Errors
 ///
@@ -156,8 +189,8 @@ impl GridResults {
 ///
 /// # Panics
 ///
-/// If a cell panics, the whole grid fails with a panic naming the
-/// offending `workload/scheme` cell and the seed, so it can be replayed
+/// As [`run_cells`]: a panicking cell fails the grid with the
+/// `workload/scheme` cell and the seed named, so it can be replayed
 /// serially (`--jobs 1`) or alone (`simulate --workload W --scheme S`).
 pub fn run_grid_opts(
     scale: Scale,
@@ -165,33 +198,27 @@ pub fn run_grid_opts(
     run_cfg: &RunConfig,
     opts: &Options,
 ) -> Result<GridResults, SimError> {
-    let mut keys = Vec::new();
-    for kind in WorkloadKind::all() {
-        for scheme in SchemeKind::all() {
-            keys.push((kind, scheme));
-        }
-    }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
+    let keys: Vec<(WorkloadKind, SchemeKind)> = WorkloadKind::all()
+        .into_iter()
+        .flat_map(|kind| SchemeKind::all().map(|scheme| (kind, scheme)))
+        .collect();
+    let cells = keys
         .iter()
         .map(|&(kind, scheme)| {
             let machine = scale.machine().with_scheme(scheme);
-            let run_cfg = *run_cfg;
-            Job::new(format!("{kind}/{scheme}"), move || {
-                run_cell_with(machine, kind, scale, seed, &run_cfg)
-            })
+            Cell::uniform(format!("{kind}/{scheme}"), machine, kind, scale.params(seed))
         })
         .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("grid cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = BTreeMap::new();
-    for (key, report) in keys.into_iter().zip(reports) {
-        results.insert(key, report?);
-    }
-    Ok(GridResults { results, scale })
+    let reports = run_cells(cells, run_cfg, opts)?;
+    Ok(GridResults {
+        results: keys.into_iter().zip(reports).collect(),
+        scale,
+    })
 }
 
-/// Runs an arbitrary list of labelled cells — the ablation sweeps' shape
-/// — on the worker pool, returning reports in submission order.
+/// Runs a list of cells on the worker pool, one job per cell, returning
+/// the reports in submission order (so the result is identical at any
+/// `opts.jobs`).
 ///
 /// # Errors
 ///
@@ -199,59 +226,33 @@ pub fn run_grid_opts(
 ///
 /// # Panics
 ///
-/// As [`run_grid_opts`]: a panicking cell fails the batch with the cell
-/// label and seed named.
+/// If a cell panics, the whole batch fails with a panic naming the cell
+/// label and its seed.
 pub fn run_cells(
-    cells: Vec<(String, MachineConfig, WorkloadKind)>,
-    scale: Scale,
-    seed: u64,
+    cells: Vec<Cell>,
     run_cfg: &RunConfig,
     opts: &Options,
 ) -> Result<Vec<RunReport>, SimError> {
+    let seeds: Vec<(String, u64)> = cells
+        .iter()
+        .map(|c| (c.label.clone(), c.params.seed))
+        .collect();
     let jobs: Vec<Job<Result<RunReport, SimError>>> = cells
         .into_iter()
-        .map(|(label, machine, kind)| {
+        .map(|cell| {
             let run_cfg = *run_cfg;
-            Job::new(label, move || {
-                run_cell_with(machine, kind, scale, seed, &run_cfg)
+            Job::new(cell.label, move || {
+                System::for_workload_mix(cell.machine, &cell.kinds, &cell.params, &run_cfg)?.run()
             })
         })
         .collect();
     pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
+        .unwrap_or_else(|p| {
+            let seed = seeds.iter().find(|(l, _)| *l == p.label).map_or(0, |s| s.1);
+            panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message)
+        })
         .into_iter()
         .collect()
-}
-
-/// Runs one cell of the grid (or an ablation variant of it).
-///
-/// # Errors
-///
-/// Returns the simulation error, if any.
-pub fn run_cell(
-    machine: MachineConfig,
-    kind: WorkloadKind,
-    scale: Scale,
-    seed: u64,
-) -> Result<RunReport, SimError> {
-    run_cell_with(machine, kind, scale, seed, &RunConfig::default())
-}
-
-/// Runs one cell under explicit run options.
-///
-/// # Errors
-///
-/// Returns the simulation error, if any.
-pub fn run_cell_with(
-    machine: MachineConfig,
-    kind: WorkloadKind,
-    scale: Scale,
-    seed: u64,
-    run_cfg: &RunConfig,
-) -> Result<RunReport, SimError> {
-    let params = scale.params(seed);
-    let mut sys = System::for_workload(machine, kind, &params, run_cfg)?;
-    sys.run()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! Benchmark harness reproducing every table and figure of the DAC'17
 //! transaction-cache paper.
 //!
-//! The [`grid`] module runs the §5 experiment matrix (4 schemes × 5
+//! The [`grid`] module runs the §5 experiment matrix (5 schemes × 5
 //! workloads), fanned out over the [`pool`] worker pool (one job per
 //! independent cell, `PMACC_JOBS`/`--jobs` workers, bit-identical
 //! results at any job count); [`figures`] turns grids into the paper's
@@ -11,7 +11,8 @@
 //! [`crashgrid`] runs dense fault-injection campaigns (every scheme ×
 //! workload × core-count cell crashed at hundreds of boundary-clustered
 //! points, violations minimized into replayable reproducers); the
-//! `reproduce`, `regress` and `crashgrid` binaries drive everything:
+//! `reproduce`, `regress` and `crashgrid` binaries drive everything,
+//! reading their flags through [`cli`] (`--help` lists them):
 //!
 //! ```text
 //! cargo run --release -p pmacc-bench --bin reproduce              # all
@@ -23,6 +24,7 @@
 //! cargo run --release -p pmacc-bench --bin crashgrid -- --quick   # faults
 //! ```
 
+pub mod cli;
 pub mod crashgrid;
 pub mod figures;
 pub mod grid;

@@ -54,6 +54,19 @@ pub const SERVE_SCHEMA: &str = "pmacc-serve-v1";
 /// randomness (`"serv"`).
 const SERVE_STREAM: u64 = 0x7365_7276;
 
+/// Admission deadline in cycles: a request still waiting this long after
+/// its arrival is shed.
+const DEADLINE: Cycle = 20_000;
+
+/// The admission control every rate point runs under: [`ServeConfig`]'s
+/// default backpressure watermarks plus the campaign's [`DEADLINE`].
+fn admission(arrivals: Vec<Vec<Cycle>>) -> ServeConfig {
+    ServeConfig {
+        max_wait: DEADLINE,
+        ..ServeConfig::new(arrivals)
+    }
+}
+
 /// A rate point qualifies for the throughput ceiling when it serves at
 /// least this fraction of the offered load without shedding.
 const CEILING_GOODPUT: f64 = 0.95;
@@ -122,13 +135,6 @@ pub struct ServeCampaignConfig {
     /// service capacity (ascending; values above 1.0 drive the server
     /// past saturation).
     pub load_fractions: Vec<f64>,
-    /// Admission backpressure watermark on TC occupancy (fraction of
-    /// capacity).
-    pub tc_high: f64,
-    /// Admission backpressure watermark on NVM write-queue fill.
-    pub nvm_write_high: f64,
-    /// Admission deadline in cycles (0 disables shedding).
-    pub max_wait: Cycle,
 }
 
 impl ServeCampaignConfig {
@@ -151,9 +157,6 @@ impl ServeCampaignConfig {
                 sharing: 0,
             },
             load_fractions: vec![0.4, 0.7, 0.9, 1.3],
-            tc_high: 0.75,
-            nvm_write_high: 0.85,
-            max_wait: 20_000,
         }
     }
 
@@ -378,6 +381,7 @@ impl ServeReport {
     /// Renders the deterministic JSON document.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let admission = admission(Vec::new());
         Json::obj([
             ("schema", SERVE_SCHEMA.to_json()),
             ("seed", self.cfg.seed.to_json()),
@@ -389,9 +393,9 @@ impl ServeReport {
                 (self.cfg.params.num_ops as u64).to_json(),
             ),
             ("mean_ops_per_request", self.mean_ops_per_request.to_json()),
-            ("deadline", self.cfg.max_wait.to_json()),
-            ("tc_high", self.cfg.tc_high.to_json()),
-            ("nvm_write_high", self.cfg.nvm_write_high.to_json()),
+            ("deadline", admission.max_wait.to_json()),
+            ("tc_high", admission.tc_high.to_json()),
+            ("nvm_write_high", admission.nvm_write_high.to_json()),
             (
                 "load_fractions",
                 Json::Arr(self.cfg.load_fractions.iter().map(|f| f.to_json()).collect()),
@@ -475,11 +479,7 @@ fn ramp_point(
             )
         })
         .collect();
-    let mut sc = ServeConfig::new(arrivals);
-    sc.tc_high = cfg.tc_high;
-    sc.nvm_write_high = cfg.nvm_write_high;
-    sc.max_wait = cfg.max_wait;
-    sys.enable_serve(sc).map_err(|e| e.to_string())?;
+    sys.enable_serve(admission(arrivals)).map_err(|e| e.to_string())?;
     let report = sys.run().map_err(|e| e.to_string())?;
     let stats = sys.serve_stats().expect("serve mode is on");
     let completed: u64 = stats.iter().map(|s| s.completed).sum();

@@ -1,5 +1,5 @@
 //! Smoke tests of the figure/table renderers (the full grid is exercised
-//! by the reproduce binary and the bench targets).
+//! by the reproduce binary and the CI gates).
 
 use pmacc_bench::figures;
 use pmacc_bench::grid::Scale;
@@ -29,8 +29,8 @@ fn table3_measures_all_workloads() {
 fn ablation_e_batched_row_is_the_grid_sp_cell() {
     // The batched fencing mode is the default SP instrumentation, so its
     // row must reproduce the grid's SP/sps cell normalized to Optimal.
-    use pmacc::RunReport;
-    use pmacc_bench::grid::run_cell;
+    use pmacc::{RunConfig, RunReport};
+    use pmacc_bench::grid::{run_cells, Cell};
     use pmacc_bench::pool::Options;
     use pmacc_bench::table::norm;
     use pmacc_types::SchemeKind;
@@ -42,17 +42,15 @@ fn ablation_e_batched_row_is_the_grid_sp_cell() {
         progress: false,
     };
     let t = figures::ablation_sp_fencing(scale, seed, &opts).unwrap();
-    let cell = |scheme| {
-        run_cell(
-            scale.machine().with_scheme(scheme),
-            WorkloadKind::Sps,
-            scale,
-            seed,
-        )
-        .unwrap()
-    };
-    let (sp, opt) = (cell(SchemeKind::Sp), cell(SchemeKind::Optimal));
-    let ratio = |m: fn(&RunReport) -> f64| norm(m(&sp) / m(&opt));
+    let cells = [SchemeKind::Sp, SchemeKind::Optimal]
+        .map(|scheme| {
+            let machine = scale.machine().with_scheme(scheme);
+            Cell::uniform(scheme.to_string(), machine, WorkloadKind::Sps, scale.params(seed))
+        })
+        .to_vec();
+    let reports = run_cells(cells, &RunConfig::default(), &opts).unwrap();
+    let (sp, opt) = (&reports[0], &reports[1]);
+    let ratio = |m: fn(&RunReport) -> f64| norm(m(sp) / m(opt));
     let writes = |r: &RunReport| r.nvm_write_traffic() as f64;
     assert_eq!(t.rows[0][0], "batched (Fig. 3a, default)");
     assert_eq!(

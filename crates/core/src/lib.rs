@@ -12,7 +12,8 @@
 //!
 //! * [`TxCache`] — the CAM-FIFO transaction cache of §4.1;
 //! * [`scheme`] — the four persistence schemes of §5 (`Optimal`, `SP`,
-//!   `TC`, `NVLLC`) as trace instrumentation plus runtime behaviour;
+//!   `TC`, `NVLLC`) plus the eADR upper bound, as trace instrumentation
+//!   plus runtime behaviour;
 //! * [`System`] — the full-system simulator (cores, hierarchy, transaction
 //!   caches, NVM/DRAM controllers) that produces the paper's figures;
 //! * [`recovery`] — crash injection, per-scheme recovery procedures and a

@@ -1,5 +1,5 @@
-//! The four persistence schemes compared in §5 of the paper, plus the
-//! eADR flush-on-failure upper bound — each in one file.
+//! The five persistence schemes — the four compared in §5 of the paper
+//! plus the eADR flush-on-failure upper bound — each in one file.
 //!
 //! A scheme is three things:
 //!

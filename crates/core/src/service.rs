@@ -21,9 +21,8 @@ use pmacc_types::{ConfigError, Cycle, SimError};
 
 use crate::System;
 
-/// Default for [`ServeConfig::retry`]: cycles a core waits before
-/// re-testing admission when the transaction cache or the NVM write
-/// queue is saturated.
+/// Cycles a core waits before re-testing admission when the transaction
+/// cache or the NVM write queue is saturated.
 pub const SERVE_RETRY: Cycle = 32;
 
 /// Open-system service configuration for one run.
@@ -45,9 +44,6 @@ pub struct ServeConfig {
     /// many cycles after its arrival is shed (its transaction is skipped
     /// and counted in [`ServeCoreStats::shed`]). Zero disables shedding.
     pub max_wait: Cycle,
-    /// Cycles a deferred request waits before re-testing admission
-    /// (backpressure polling interval). Defaults to [`SERVE_RETRY`].
-    pub retry: Cycle,
 }
 
 impl ServeConfig {
@@ -60,7 +56,6 @@ impl ServeConfig {
             tc_high: 0.75,
             nvm_write_high: 0.85,
             max_wait: 0,
-            retry: SERVE_RETRY,
         }
     }
 }
@@ -153,7 +148,6 @@ pub(crate) struct ServeState {
     pub tc_high: f64,
     pub nvm_write_high: f64,
     pub max_wait: Cycle,
-    pub retry: Cycle,
 }
 
 impl System {
@@ -216,7 +210,6 @@ impl System {
             tc_high: cfg.tc_high,
             nvm_write_high: cfg.nvm_write_high,
             max_wait: cfg.max_wait,
-            retry: cfg.retry,
         });
         Ok(())
     }
@@ -293,11 +286,10 @@ impl System {
         }
         if self.serve_pressure(c) {
             // Backpressure: hold the request and retry shortly.
-            let retry = self.serve.as_ref().expect("serve state checked above").retry;
-            self.cores[c].time = now + retry;
+            self.cores[c].time = now + SERVE_RETRY;
             let s = self.serve.as_mut().expect("serve state checked above");
             s.cores[c].stats.backpressure_events += 1;
-            s.cores[c].stats.backpressure_cycles += retry;
+            s.cores[c].stats.backpressure_cycles += SERVE_RETRY;
             return true;
         }
         // Admit: timestamp the request and snapshot the stall baselines

@@ -50,23 +50,21 @@ const STEP_OPS: usize = 64;
 const STEP_CYCLES: Cycle = 256;
 /// Forced unpins start after this many pin-blocked retries.
 const PIN_RETRY_LIMIT: u32 = 8;
+/// A run aborts with [`SimError::Deadlock`] beyond this many cycles.
+const MAX_CYCLES: Cycle = 20_000_000_000;
+/// Retry interval when an NVLLC fill finds its LLC set fully pinned (a
+/// remote commit is what unpins the set, so the blocked core polls).
+const PIN_RETRY: Cycle = 64;
+/// Poll interval for a transactional store serialized behind a remote
+/// core's conflicting active transaction. The common wake-up is *exact*
+/// — [`System`] re-checks every Conflict-blocked core the moment a
+/// transaction commit retires — so this interval only paces the
+/// deadlock-cycle detector, which has no commit event to ride on.
+const CONFLICT_RETRY: Cycle = 64;
 
 /// Run-level options.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
-    /// Abort with [`SimError::Deadlock`] beyond this many cycles.
-    pub max_cycles: Cycle,
-    /// Retry interval when an NVLLC fill finds its LLC set fully pinned
-    /// (a remote commit is what unpins the set, so the blocked core
-    /// polls).
-    pub pin_retry: Cycle,
-    /// Poll interval for a transactional store serialized behind a
-    /// remote core's conflicting active transaction. The common wake-up
-    /// is *exact* — [`System`] re-checks every Conflict-blocked core the
-    /// moment a transaction commit retires — so this interval only
-    /// paces the deadlock-cycle detector, which has no commit event to
-    /// ride on.
-    pub conflict_retry: Cycle,
     /// Committed transactions (across all cores) to treat as warm-up:
     /// when reached, every statistic resets so the report covers only the
     /// warmed region. Zero measures from a cold start (the recorded
@@ -91,9 +89,6 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
-            max_cycles: 20_000_000_000,
-            pin_retry: 64,
-            conflict_retry: 64,
             warmup_commits: 0,
             sample_period: 32_768,
             record_boundaries: false,
@@ -667,14 +662,14 @@ impl System {
     ///
     /// Returns [`SimError::Deadlock`] if the cycle bound is exceeded.
     pub fn run_until(&mut self, limit: Cycle) -> Result<(), SimError> {
-        if limit < Cycle::MAX && limit >= self.clock && limit <= self.run_cfg.max_cycles {
+        if limit < Cycle::MAX && limit >= self.clock && limit <= MAX_CYCLES {
             self.push_event(limit, Event::Wake);
         }
         while let Some(Reverse((t, _, _))) = self.events.peek().copied() {
             if t > limit {
                 break;
             }
-            if t > self.run_cfg.max_cycles {
+            if t > MAX_CYCLES {
                 return Err(SimError::Deadlock {
                     cycle: t,
                     what: "max cycle bound exceeded".into(),
@@ -909,7 +904,7 @@ impl System {
                     // Commit retirement wakes conflict-blocked cores
                     // exactly ([`System::finish_txend`]); this periodic
                     // retry only paces the deadlock detector above.
-                    let at = self.clock + self.run_cfg.conflict_retry;
+                    let at = self.clock + CONFLICT_RETRY;
                     self.push_event(at, Event::CoreStep(c));
                     return;
                 }
@@ -1130,7 +1125,7 @@ impl System {
             } else if self.conflicting_core(c, addr.line()).is_some() {
                 self.cores[c].stats.tx_conflicts.inc();
                 self.cores[c].begin_stall(StallKind::Conflict);
-                let at = self.clock.max(self.cores[c].time) + self.run_cfg.conflict_retry;
+                let at = self.clock.max(self.cores[c].time) + CONFLICT_RETRY;
                 self.push_event(at, Event::CoreStep(c));
                 return;
             }
@@ -1307,7 +1302,7 @@ impl System {
             self.cores[c].pin_retries = 0;
         }
         self.cores[c].begin_stall(StallKind::PinBlocked);
-        let at = self.clock.max(self.cores[c].time) + self.run_cfg.pin_retry;
+        let at = self.clock.max(self.cores[c].time) + PIN_RETRY;
         self.push_event(at, Event::CoreStep(c));
     }
 

@@ -9,8 +9,9 @@ use std::str::FromStr;
 
 use crate::{ConfigError, Freq, LINE_BYTES};
 
-/// Which persistence mechanism the simulated machine uses. These are the
-/// four schemes compared in §5 of the paper.
+/// Which persistence mechanism the simulated machine uses: the four
+/// schemes compared in §5 of the paper plus the eADR flush-on-failure
+/// upper bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SchemeKind {
     /// Native execution without any persistence guarantee ("Optimal").

@@ -154,7 +154,6 @@ fn keep_uncommitted_eadr_mutation_is_caught_and_minimized() {
     cfg.schemes = vec![SchemeKind::Eadr];
     cfg.workloads = vec![WorkloadKind::Graph];
     cfg.core_counts = vec![1];
-    cfg.overflow_cell = false;
     cfg.mutation = Mutation::KeepUncommittedEadr;
     let report = run_campaign(&cfg, &opts(2)).expect("campaign runs");
     assert!(
@@ -182,7 +181,6 @@ fn broken_recovery_is_caught_and_minimized_to_a_named_reproducer() {
     cfg.schemes = vec![SchemeKind::TxCache];
     cfg.workloads = vec![WorkloadKind::Sps];
     cfg.core_counts = vec![1];
-    cfg.overflow_cell = false;
     cfg.mutation = Mutation::DropCommittedTc;
     let report = run_campaign(&cfg, &opts(2)).expect("campaign runs");
     assert!(
@@ -197,7 +195,7 @@ fn broken_recovery_is_caught_and_minimized_to_a_named_reproducer() {
     assert_eq!(repro.mutation, Mutation::DropCommittedTc);
     // Minimization shrank the workload prefix below the campaign's.
     assert!(
-        repro.params.num_ops <= cfg.params.num_ops,
+        repro.params.num_ops <= pmacc_workloads::WorkloadParams::tiny(cfg.seed).num_ops,
         "prefix reduction must not grow the workload"
     );
     // The reproducer is self-contained: replaying it reproduces the

@@ -245,16 +245,16 @@ impl CellSpec {
         m
     }
 
-    /// Whether the oracle demands consistency. `Optimal` has no
-    /// persistence support, so its violations are *expected* — the cell
-    /// runs as a control proving the checker has teeth. `SP` under a
-    /// nonzero sharing fraction is likewise a control: its per-core redo
-    /// logs carry no cross-log commit order, so recovery of contended
-    /// lines is not defined for it.
+    /// Whether the oracle demands consistency: the scheme is persistent
+    /// and, under sharing, orders commits across cores
+    /// ([`pmacc::scheme::facts`]). Other cells are controls, whose
+    /// violations are *expected*: `Optimal` proves the checker has teeth,
+    /// and `SP`'s per-core redo logs define no recovery for contended
+    /// lines.
     #[must_use]
     pub fn expect_consistent(&self) -> bool {
-        self.scheme != SchemeKind::Optimal
-            && !(self.scheme == SchemeKind::Sp && self.sharing > 0)
+        let facts = pmacc::scheme::facts(self.scheme);
+        facts.persistent && (self.sharing == 0 || facts.orders_commits_across_cores)
     }
 
     /// Stable label: `workload/scheme/cN[/tcE][/shS][/wl]`.
@@ -1176,25 +1176,28 @@ mod tests {
         assert!(wear
             .iter()
             .all(|c| c.machine().nvm.wear.leveling && !c.machine().dram.wear.leveling));
-        assert!(!CellSpec {
-            workload: WorkloadKind::Sps,
-            scheme: SchemeKind::Optimal,
-            cores: 1,
-            tc_entries: None,
-            sharing: 0,
-            wear: false,
+        // Optimal is always a control; SP is one under sharing (its
+        // per-core logs carry no cross-log commit order); every other
+        // scheme must recover exactly.
+        for (scheme, private, shared) in [
+            (SchemeKind::Optimal, false, false),
+            (SchemeKind::Sp, true, false),
+            (SchemeKind::TxCache, true, true),
+            (SchemeKind::NvLlc, true, true),
+            (SchemeKind::Eadr, true, true),
+        ] {
+            for (sharing, expected) in [(0, private), (2, shared)] {
+                let cell = CellSpec {
+                    workload: WorkloadKind::Sps,
+                    scheme,
+                    cores: 2,
+                    tc_entries: None,
+                    sharing,
+                    wear: false,
+                };
+                assert_eq!(cell.expect_consistent(), expected, "{}", cell.label());
+            }
         }
-        .expect_consistent());
-        // SP under sharing is a control too: no cross-log commit order.
-        assert!(!CellSpec {
-            workload: WorkloadKind::Sps,
-            scheme: SchemeKind::Sp,
-            cores: 2,
-            tc_entries: None,
-            sharing: 2,
-            wear: false,
-        }
-        .expect_consistent());
         assert_eq!(
             CellSpec {
                 workload: WorkloadKind::Sps,

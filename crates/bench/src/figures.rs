@@ -1,126 +1,180 @@
 //! Every table and figure of the paper's evaluation, plus the ablations
-//! listed in `DESIGN.md`.
+//! listed in `DESIGN.md`, each registered once in [`EXPERIMENTS`] with a
+//! [`Render`] step that says what it reads.
 //!
-//! The figure renderers that *run* simulations (the ablation sweeps,
-//! recovery, mix, sharing, wear, warm) take a [`pool::Options`] and run
-//! their cells through [`run_cells`]. Only [`recovery_table`], which
-//! crashes its runs midway, and [`ablation_sp_fencing`], which
-//! pre-instruments its traces, submit their own jobs to the worker
-//! pool. Renderers over an already-computed [`GridResults`] are pure
-//! formatting.
-
-use std::collections::BTreeMap;
+//! The renderers that *run* simulations (the ablation sweeps, recovery,
+//! mix, sharing, wear, warm) take the pool [`Options`] and run their cells
+//! through [`run_cells`]. Only [`recovery_table`], which crashes its runs
+//! midway, and [`ablation_sp_fencing`], which pre-instruments its traces,
+//! submit their own jobs to the worker pool. Renderers over an
+//! already-computed [`GridResults`] are pure formatting.
 
 use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::hwcost::HwOverhead;
 use pmacc::recovery::{check_recovery, recover, recovery_cost};
+use pmacc::scheme::facts;
 use pmacc::scheme::sp::{self, SpMode};
 use pmacc::{striped_workloads, RunConfig, RunReport, System};
 use pmacc_cpu::StallKind;
 use pmacc_types::{MachineConfig, SchemeKind, SimError, WriteCause};
 use pmacc_workloads::{build, WorkloadKind, WorkloadParams};
 
-use crate::grid::{run_cells, run_grid_opts, Cell, GridResults, Scale};
-use crate::pool::{self, Job, Options};
+use crate::grid::{run_cells, run_grid_opts, run_keyed, run_named_jobs, Cell, GridResults, Scale};
+use crate::pool::{Job, Options};
 use crate::table::{norm, FigTable};
 
 /// A named metric extracted from a [`RunReport`].
 type Metric = (&'static str, fn(&RunReport) -> f64);
 
-fn scheme_label(s: SchemeKind) -> &'static str {
-    match s {
-        SchemeKind::Sp => "SP",
-        SchemeKind::TxCache => "TC (this work)",
-        SchemeKind::NvLlc => "NVLLC",
-        SchemeKind::Optimal => "Optimal",
-        SchemeKind::Eadr => "eADR",
-    }
+/// One experiment of `reproduce`: its name and its render step.
+pub struct Experiment {
+    /// The name `reproduce` takes and `--list` prints.
+    pub name: &'static str,
+    /// What the experiment reads, and how it renders its table.
+    pub render: Render,
 }
 
-/// Builds one normalized-to-Optimal figure.
-fn normalized_figure(
-    grid: &GridResults,
-    id: &str,
-    title: &str,
-    caption: &str,
-    metric: impl Fn(&RunReport) -> f64 + Copy,
-) -> FigTable {
-    let mut cols = vec!["workload".to_string()];
-    cols.extend(SchemeKind::all().iter().map(|s| scheme_label(*s).to_string()));
-    let mut t = FigTable::new(id, title, caption, cols);
-    for kind in WorkloadKind::all() {
-        let mut row = vec![kind.to_string()];
-        for scheme in SchemeKind::all() {
-            row.push(norm(grid.normalized(kind, scheme, metric)));
+/// An experiment's render step, by what it reads.
+pub enum Render {
+    /// Nothing beyond the scale and seed.
+    Fixed(fn(Scale, u64) -> FigTable),
+    /// The shared scheme × workload grid: one metric of every cell
+    /// normalized to Optimal on the same workload, a row per workload
+    /// plus a mean row.
+    Normalized {
+        /// Identifier, e.g. "Figure 6".
+        id: &'static str,
+        /// Title line.
+        title: &'static str,
+        /// Explanation shown under the title.
+        caption: &'static str,
+        /// The metric, extracted from one cell's report.
+        metric: fn(&RunReport) -> f64,
+    },
+    /// The shared scheme × workload grid, any other table.
+    Grid(fn(&GridResults) -> FigTable),
+    /// Its own cells, run on the worker pool.
+    Cells(fn(Scale, u64, &Options) -> Result<FigTable, SimError>),
+}
+
+impl Experiment {
+    const fn new(name: &'static str, render: Render) -> Self {
+        Experiment { name, render }
+    }
+
+    /// Whether the experiment reads the shared grid.
+    #[must_use]
+    pub fn reads_grid(&self) -> bool {
+        matches!(self.render, Render::Normalized { .. } | Render::Grid(_))
+    }
+
+    /// Renders the experiment's table.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first simulation error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment reads the grid and `grid` is `None`.
+    pub fn render(
+        &self,
+        scale: Scale,
+        seed: u64,
+        grid: Option<&GridResults>,
+        opts: &Options,
+    ) -> Result<FigTable, SimError> {
+        let grid = || grid.expect("the grid runs when an experiment reads it");
+        match self.render {
+            Render::Fixed(f) => Ok(f(scale, seed)),
+            Render::Normalized { id, title, caption, metric } => {
+                let grid = grid();
+                let mut cols = vec!["workload".to_string()];
+                cols.extend(SchemeKind::all().iter().map(|s| facts(*s).label.to_string()));
+                let mut t = FigTable::new(id, title, caption, cols);
+                for kind in WorkloadKind::all() {
+                    let mut row = vec![kind.to_string()];
+                    for scheme in SchemeKind::all() {
+                        row.push(norm(grid.normalized(kind, scheme, metric)));
+                    }
+                    t.push_row(row);
+                }
+                let mut mean = vec!["**mean**".to_string()];
+                for scheme in SchemeKind::all() {
+                    mean.push(norm(grid.mean_normalized(scheme, metric)));
+                }
+                t.push_row(mean);
+                Ok(t)
+            }
+            Render::Grid(f) => Ok(f(grid())),
+            Render::Cells(f) => f(scale, seed, opts),
         }
-        t.push_row(row);
     }
-    let mut mean = vec!["**mean**".to_string()];
-    for scheme in SchemeKind::all() {
-        mean.push(norm(grid.mean_normalized(scheme, metric)));
-    }
-    t.push_row(mean);
-    t
 }
 
-/// Figure 6: IPC normalized to Optimal.
-#[must_use]
-pub fn fig6(grid: &GridResults) -> FigTable {
-    normalized_figure(
-        grid,
-        "Figure 6",
-        "Performance improvements (IPC), normalized to Optimal",
-        "Paper: SP 0.477, TC 0.985, NVLLC 0.878 on average.",
-        RunReport::ipc,
-    )
-}
+/// Every experiment, in the order a bare `reproduce` runs them.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table2", Render::Fixed(|_, _| table2(&MachineConfig::dac17()))),
+    Experiment::new("table3", Render::Fixed(table3)),
+    Experiment::new("table1", Render::Fixed(|_, _| table1(&MachineConfig::dac17()))),
+    Experiment::new("fig6", Render::Normalized {
+        id: "Figure 6",
+        title: "Performance improvements (IPC), normalized to Optimal",
+        caption: "Paper: SP 0.477, TC 0.985, NVLLC 0.878 on average.",
+        metric: RunReport::ipc,
+    }),
+    Experiment::new("fig7", Render::Normalized {
+        id: "Figure 7",
+        title: "Performance improvements (throughput, tx/cycle), normalized to Optimal",
+        caption: "Paper: SP 0.306, TC 0.985, NVLLC ~0.878 on average.",
+        metric: RunReport::throughput,
+    }),
+    Experiment::new("fig8", Render::Normalized {
+        id: "Figure 8",
+        title: "LLC miss rate, normalized to Optimal",
+        caption: "Paper: NVLLC incurs ~6% higher LLC miss rate; TC matches Optimal.",
+        metric: RunReport::llc_miss_rate,
+    }),
+    Experiment::new("fig9", Render::Normalized {
+        id: "Figure 9",
+        title: "Write traffic to the NVM, normalized to Optimal",
+        caption: "Paper: SP ~2x Optimal; TC and NVLLC in between, with TC above NVLLC.",
+        metric: |r| r.nvm_write_traffic() as f64,
+    }),
+    Experiment::new("fig9-breakdown", Render::Grid(fig9_breakdown)),
+    Experiment::new("fig10", Render::Normalized {
+        id: "Figure 10",
+        title: "CPU persistent load latency, normalized to Optimal",
+        caption: "Paper: NVLLC 2.4x Optimal and 2.3x TC; TC close to Optimal.",
+        metric: RunReport::persistent_load_latency,
+    }),
+    Experiment::new("stalls", Render::Grid(stalls)),
+    // Extension: energy accounting of the grid (write traffic priced by
+    // the STT-RAM energy asymmetry — the Figure 9 story in nanojoules).
+    Experiment::new("energy", Render::Normalized {
+        id: "Extension: energy",
+        title: "Memory-system energy, normalized to Optimal",
+        caption: "Caches + transaction cache + DRAM + NVM, with STT-RAM's ~4x \
+                  write/read energy asymmetry; SP's logging and flushing dominate.",
+        metric: |r| energy_of(r, &EnergyParams::dac17()).total_nj(),
+    }),
+    Experiment::new("endurance", Render::Grid(endurance)),
+    Experiment::new("recovery", Render::Cells(recovery_table)),
+    Experiment::new("mix", Render::Cells(mix)),
+    Experiment::new("warm", Render::Cells(warm)),
+    Experiment::new("sharing", Render::Cells(sharing)),
+    Experiment::new("wear", Render::Cells(wear)),
+    Experiment::new("ablation-size", Render::Cells(ablation_txcache_size)),
+    Experiment::new("ablation-overflow", Render::Cells(ablation_overflow)),
+    Experiment::new("ablation-nvm", Render::Cells(ablation_nvm_latency)),
+    Experiment::new("ablation-coalesce", Render::Cells(ablation_coalesce)),
+    Experiment::new("ablation-sp-fencing", Render::Cells(ablation_sp_fencing)),
+];
 
-/// Figure 7: transaction throughput normalized to Optimal.
+/// The experiment names, in registry order.
 #[must_use]
-pub fn fig7(grid: &GridResults) -> FigTable {
-    normalized_figure(
-        grid,
-        "Figure 7",
-        "Performance improvements (throughput, tx/cycle), normalized to Optimal",
-        "Paper: SP 0.306, TC 0.985, NVLLC ~0.878 on average.",
-        RunReport::throughput,
-    )
-}
-
-/// Figure 8: LLC miss rate normalized to Optimal.
-#[must_use]
-pub fn fig8(grid: &GridResults) -> FigTable {
-    normalized_figure(
-        grid,
-        "Figure 8",
-        "LLC miss rate, normalized to Optimal",
-        "Paper: NVLLC incurs ~6% higher LLC miss rate; TC matches Optimal.",
-        RunReport::llc_miss_rate,
-    )
-}
-
-/// Figure 9: NVM write traffic normalized to Optimal.
-#[must_use]
-pub fn fig9(grid: &GridResults) -> FigTable {
-    normalized_figure(
-        grid,
-        "Figure 9",
-        "Write traffic to the NVM, normalized to Optimal",
-        "Paper: SP ~2x Optimal; TC and NVLLC in between, with TC above NVLLC.",
-        |r| r.nvm_write_traffic() as f64,
-    )
-}
-
-/// Figure 10: persistent-load latency normalized to Optimal.
-#[must_use]
-pub fn fig10(grid: &GridResults) -> FigTable {
-    normalized_figure(
-        grid,
-        "Figure 10",
-        "CPU persistent load latency, normalized to Optimal",
-        "Paper: NVLLC 2.4x Optimal and 2.3x TC; TC close to Optimal.",
-        RunReport::persistent_load_latency,
-    )
+pub fn names() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|e| e.name).collect()
 }
 
 /// Figure 9's write-traffic *breakdown* by cause — which mechanism each
@@ -139,7 +193,7 @@ pub fn fig9_breakdown(grid: &GridResults) -> FigTable {
         cols,
     );
     for scheme in SchemeKind::all() {
-        let mut row = vec![scheme_label(scheme).to_string()];
+        let mut row = vec![facts(scheme).label.to_string()];
         for cause in WriteCause::all() {
             let total: u64 = WorkloadKind::all()
                 .iter()
@@ -182,36 +236,6 @@ pub fn stalls(grid: &GridResults) -> FigTable {
     t
 }
 
-/// Extension: energy accounting of the grid (write traffic priced by the
-/// STT-RAM energy asymmetry — the Figure 9 story in nanojoules).
-#[must_use]
-pub fn energy(grid: &GridResults) -> FigTable {
-    let params = EnergyParams::dac17();
-    let mut cols = vec!["workload".to_string()];
-    cols.extend(SchemeKind::all().iter().map(|s| scheme_label(*s).to_string()));
-    let mut t = FigTable::new(
-        "Extension: energy",
-        "Memory-system energy, normalized to Optimal",
-        "Caches + transaction cache + DRAM + NVM, with STT-RAM's ~4x \
-         write/read energy asymmetry; SP's logging and flushing dominate.",
-        cols,
-    );
-    let metric = |r: &RunReport| energy_of(r, &params).total_nj();
-    for kind in WorkloadKind::all() {
-        let mut row = vec![kind.to_string()];
-        for scheme in SchemeKind::all() {
-            row.push(norm(grid.normalized(kind, scheme, metric)));
-        }
-        t.push_row(row);
-    }
-    let mut mean = vec!["**mean**".to_string()];
-    for scheme in SchemeKind::all() {
-        mean.push(norm(grid.mean_normalized(scheme, metric)));
-    }
-    t.push_row(mean);
-    t
-}
-
 /// Extension: NVM write endurance — how hard each scheme hammers its
 /// hottest line (NVM cells wear out; a persistence path that rewrites
 /// the same line per transaction ages it fastest).
@@ -235,7 +259,7 @@ pub fn endurance(grid: &GridResults) -> FigTable {
             let r = grid.get(kind, scheme);
             let hottest = r.nvm.hottest_line().map_or(0, |(_, n)| n);
             t.push_row(vec![
-                format!("{kind} / {}", scheme_label(scheme)),
+                format!("{kind} / {}", facts(scheme).label),
                 hottest.to_string(),
                 format!("{:.2}", r.nvm.mean_writes_per_line()),
                 r.nvm.writes().to_string(),
@@ -276,21 +300,16 @@ pub fn recovery_table(scale: Scale, seed: u64, opts: &Options) -> Result<FigTabl
         .map(|&scheme| {
             let machine = scale.machine().with_scheme(scheme);
             Job::new(format!("recovery/{scheme}"), move || {
-                let total = {
-                    let mut sys = System::for_workload(
+                let build = || {
+                    System::for_workload(
                         machine.clone(),
                         WorkloadKind::Rbtree,
                         &params,
                         &RunConfig::default(),
-                    )?;
-                    sys.run()?.cycles
+                    )
                 };
-                let mut sys = System::for_workload(
-                    machine.clone(),
-                    WorkloadKind::Rbtree,
-                    &params,
-                    &RunConfig::default(),
-                )?;
+                let total = build()?.run()?.cycles;
+                let mut sys = build()?;
                 sys.run_until(total / 2)?;
                 let state = sys.crash_state();
                 let cost = recovery_cost(&state, &machine);
@@ -300,12 +319,11 @@ pub fn recovery_table(scale: Scale, seed: u64, opts: &Options) -> Result<FigTabl
             })
         })
         .collect();
-    let rows = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
+    let rows = run_named_jobs(jobs, opts, |_| seed);
     for (scheme, row) in schemes.iter().zip(rows) {
         let (cost, ok) = row?;
         t.push_row(vec![
-            scheme_label(*scheme).into(),
+            facts(*scheme).label.into(),
             cost.words_scanned.to_string(),
             cost.words_replayed.to_string(),
             format!("{:.1} µs", cost.estimated_ns as f64 / 1000.0),
@@ -348,20 +366,17 @@ pub fn mix(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError
         SchemeKind::TxCache,
         SchemeKind::NvLlc,
     ];
-    let cells = schemes
-        .iter()
-        .map(|&scheme| Cell {
-            label: format!("mix/{scheme}"),
-            machine: scale.machine().with_scheme(scheme),
-            kinds: kinds.to_vec(),
-            params: scale.params(seed),
-        })
-        .collect();
-    let reports = run_cells(cells, &RunConfig::default(), opts)?;
-    let b = &reports[0]; // Optimal is submitted first.
-    for (scheme, r) in schemes.iter().zip(&reports) {
+    let reports = run_keyed(schemes, &RunConfig::default(), opts, |&scheme| Cell {
+        label: format!("mix/{scheme}"),
+        machine: scale.machine().with_scheme(scheme),
+        kinds: kinds.to_vec(),
+        params: scale.params(seed),
+    })?;
+    let b = &reports[&SchemeKind::Optimal];
+    for scheme in &schemes {
+        let r = &reports[scheme];
         t.push_row(vec![
-            scheme_label(*scheme).into(),
+            facts(*scheme).label.into(),
             norm(r.ipc() / b.ipc()),
             norm(r.throughput() / b.throughput()),
             norm(r.nvm_write_traffic() as f64 / b.nvm_write_traffic().max(1) as f64),
@@ -385,69 +400,39 @@ pub fn mix(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError
 ///
 /// Returns the first simulation error.
 pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError> {
-    const FRACTIONS: [u8; 4] = [0, 1, 2, 4];
+    // Sharing fractions in eighths, with their labels.
+    const FRACTIONS: [(u8, &str); 4] = [(0, "0%"), (1, "12.5%"), (2, "25%"), (4, "50%")];
     const KINDS: [WorkloadKind; 3] = [
         WorkloadKind::Sps,
         WorkloadKind::Btree,
         WorkloadKind::Hashtable,
     ];
-    let fraction_label = |f: u8| match f {
-        0 => "0%",
-        1 => "12.5%",
-        2 => "25%",
-        4 => "50%",
-        _ => unreachable!("fractions are fixed above"),
-    };
-    let mut keys = Vec::new();
-    for kind in KINDS {
-        for fraction in FRACTIONS {
-            for scheme in SchemeKind::all() {
-                keys.push((kind, fraction, scheme));
-            }
-        }
-    }
+    let keys = KINDS.into_iter().flat_map(|kind| {
+        FRACTIONS.into_iter().flat_map(move |(f, _)| SchemeKind::all().map(move |s| (kind, f, s)))
+    });
     let params = |fraction| WorkloadParams {
         sharing: fraction,
         ..scale.params(seed)
     };
-    let cells = keys
-        .iter()
-        .map(|&(kind, fraction, scheme)| {
-            let machine = scale.machine().with_scheme(scheme);
-            let label = format!("sharing/{kind}/sh{fraction}/{scheme}");
-            Cell::uniform(label, machine, kind, params(fraction))
-        })
-        .collect();
-    let results: BTreeMap<_, _> = keys
-        .into_iter()
-        .zip(run_cells(cells, &RunConfig::default(), opts)?)
-        .collect();
+    let results = run_keyed(keys, &RunConfig::default(), opts, |&(kind, fraction, scheme)| {
+        let machine = scale.machine().with_scheme(scheme);
+        let label = format!("sharing/{kind}/sh{fraction}/{scheme}");
+        Cell::uniform(label, machine, kind, params(fraction))
+    })?;
     // Directory-stress subsection: the same sweep's SPS workload at 16
     // cores, where the LLC sharer-bitmap directory is what keeps snoops
     // O(sharers) instead of O(cores). Two fractions bracket the range
     // (private vs heavily shared); every scheme runs so the normalized
     // IPC column has its own 16-core Optimal base.
     const DIR_CORES: usize = 16;
-    const DIR_FRACTIONS: [u8; 2] = [0, 4];
-    let mut dir_keys = Vec::new();
-    for fraction in DIR_FRACTIONS {
-        for scheme in SchemeKind::all() {
-            dir_keys.push((fraction, scheme));
-        }
-    }
-    let dir_cells = dir_keys
-        .iter()
-        .map(|&(fraction, scheme)| {
-            let mut machine = scale.machine().with_scheme(scheme);
-            machine.cores = DIR_CORES;
-            let label = format!("sharing/sps16/sh{fraction}/{scheme}");
-            Cell::uniform(label, machine, WorkloadKind::Sps, params(fraction))
-        })
-        .collect();
-    let dir_results: BTreeMap<_, _> = dir_keys
-        .into_iter()
-        .zip(run_cells(dir_cells, &RunConfig::default(), opts)?)
-        .collect();
+    const DIR_FRACTIONS: [(u8, &str); 2] = [(0, "0%"), (4, "50%")];
+    let dir_keys = DIR_FRACTIONS.into_iter().flat_map(|(f, _)| SchemeKind::all().map(move |s| (f, s)));
+    let dir_results = run_keyed(dir_keys, &RunConfig::default(), opts, |&(fraction, scheme)| {
+        let mut machine = scale.machine().with_scheme(scheme);
+        machine.cores = DIR_CORES;
+        let label = format!("sharing/sps16/sh{fraction}/{scheme}");
+        Cell::uniform(label, machine, WorkloadKind::Sps, params(fraction))
+    })?;
     let mut t = FigTable::new(
         "Extension: sharing",
         "Scaling across shared-line fractions (4 cores; sps also at 16)",
@@ -472,11 +457,11 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
     let tc_remote = |r: &RunReport| -> u64 {
         r.tc.iter().map(|c| c.remote_invalidations.value()).sum()
     };
-    let cell_row = |workload: String, fraction, scheme, r: &RunReport, base: &RunReport| {
+    let cell_row = |workload: String, fraction: &str, scheme, r: &RunReport, base: &RunReport| {
         vec![
             workload,
-            fraction_label(fraction).into(),
-            scheme_label(scheme).into(),
+            fraction.into(),
+            facts(scheme).label.into(),
             norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
             conflicts(r).to_string(),
             format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
@@ -486,17 +471,17 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
         ]
     };
     for kind in KINDS {
-        for fraction in FRACTIONS {
+        for (fraction, label) in FRACTIONS {
             let base = &results[&(kind, fraction, SchemeKind::Optimal)];
             for scheme in SchemeKind::all() {
                 let r = &results[&(kind, fraction, scheme)];
-                t.push_row(cell_row(kind.to_string(), fraction, scheme, r, base));
+                t.push_row(cell_row(kind.to_string(), label, scheme, r, base));
             }
         }
     }
     // Per-fraction means: the scaling curve of each scheme (counts are
     // summed over the three workloads).
-    for fraction in FRACTIONS {
+    for (fraction, label) in FRACTIONS {
         for scheme in SchemeKind::all() {
             let mut ipc = 0.0;
             let (mut cf, mut inv, mut fills, mut tcr) = (0u64, 0u64, 0u64, 0u64);
@@ -511,8 +496,8 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
             }
             t.push_row(vec![
                 "**mean**".into(),
-                fraction_label(fraction).into(),
-                scheme_label(scheme).into(),
+                label.into(),
+                facts(scheme).label.into(),
                 norm(ipc / KINDS.len() as f64),
                 cf.to_string(),
                 "-".into(),
@@ -523,11 +508,11 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
         }
     }
     // 16-core directory-stress rows.
-    for fraction in DIR_FRACTIONS {
+    for (fraction, label) in DIR_FRACTIONS {
         let base = &dir_results[&(fraction, SchemeKind::Optimal)];
         for scheme in SchemeKind::all() {
             let r = &dir_results[&(fraction, scheme)];
-            t.push_row(cell_row("sps (16c)".into(), fraction, scheme, r, base));
+            t.push_row(cell_row("sps (16c)".into(), label, scheme, r, base));
         }
     }
     Ok(t)
@@ -610,30 +595,18 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         gap_write_interval: 4,
         cell_write_budget: budget,
     };
-    let mut keys = Vec::new();
-    for kind in KINDS {
-        for leveling in LEVELS {
-            for scheme in SchemeKind::all() {
-                keys.push((kind, leveling, scheme));
-            }
-        }
-    }
+    let keys = KINDS.into_iter().flat_map(|kind| {
+        LEVELS.into_iter().flat_map(move |l| SchemeKind::all().map(move |s| (kind, l, s)))
+    });
     let lvl_label = |l: bool| if l { "on" } else { "off" };
-    let cells = keys
-        .iter()
-        .map(|&(kind, leveling, scheme)| {
-            let mut machine = scale.machine().with_scheme(scheme);
-            if leveling {
-                machine.nvm.wear = leveled;
-            }
-            let label = format!("wear/{kind}/wl-{}/{scheme}", lvl_label(leveling));
-            Cell::uniform(label, machine, kind, scale.params(seed))
-        })
-        .collect();
-    let results: BTreeMap<_, _> = keys
-        .into_iter()
-        .zip(run_cells(cells, &RunConfig::default(), opts)?)
-        .collect();
+    let results = run_keyed(keys, &RunConfig::default(), opts, |&(kind, leveling, scheme)| {
+        let mut machine = scale.machine().with_scheme(scheme);
+        if leveling {
+            machine.nvm.wear = leveled;
+        }
+        let label = format!("wear/{kind}/wl-{}/{scheme}", lvl_label(leveling));
+        Cell::uniform(label, machine, kind, scale.params(seed))
+    })?;
     let mut t = FigTable::new(
         "Extension: wear",
         "NVM endurance and start-gap wear leveling, per scheme",
@@ -678,7 +651,7 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
                 let r = &results[&(kind, leveling, scheme)];
                 t.push_row(vec![
                     kind.to_string(),
-                    scheme_label(scheme).into(),
+                    facts(scheme).label.into(),
                     lvl_label(leveling).into(),
                     r.nvm.writes().to_string(),
                     r.nvm.max_writes_per_line().to_string(),
@@ -715,7 +688,7 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
             let n = KINDS.len() as f64;
             t.push_row(vec![
                 "**mean**".into(),
-                scheme_label(scheme).into(),
+                facts(scheme).label.into(),
                 lvl_label(leveling).into(),
                 writes.to_string(),
                 max_w.to_string(),
@@ -747,6 +720,9 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ..RunConfig::default()
     };
     let grid = run_grid_opts(scale, seed, &rc, opts)?;
+    let schemes = [SchemeKind::Sp, SchemeKind::TxCache, SchemeKind::NvLlc];
+    let mut cols = vec!["metric".to_string()];
+    cols.extend(schemes.iter().map(|s| facts(*s).label.to_string()));
     let mut t = FigTable::new(
         "Extension: warm",
         format!(
@@ -754,12 +730,7 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ),
         "Normalized to Optimal, as in Figures 6-10 but excluding the \
          cold-cache region.",
-        vec![
-            "metric".into(),
-            "SP".into(),
-            "TC (this work)".into(),
-            "NVLLC".into(),
-        ],
+        cols,
     );
     let metrics: [Metric; 4] = [
         ("IPC", RunReport::ipc),
@@ -768,12 +739,9 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ("persistent load latency", RunReport::persistent_load_latency),
     ];
     for (name, metric) in metrics {
-        t.push_row(vec![
-            name.into(),
-            norm(grid.mean_normalized(SchemeKind::Sp, metric)),
-            norm(grid.mean_normalized(SchemeKind::TxCache, metric)),
-            norm(grid.mean_normalized(SchemeKind::NvLlc, metric)),
-        ]);
+        let mut row = vec![name.to_string()];
+        row.extend(schemes.iter().map(|s| norm(grid.mean_normalized(*s, metric))));
+        t.push_row(row);
     }
     Ok(t)
 }
@@ -952,36 +920,25 @@ pub fn ablation_txcache_size(scale: Scale, seed: u64, opts: &Options) -> Result<
         ],
     );
     let sizes: [u64; 6] = [512, 1024, 2048, 4096, 8192, 16384];
-    let mut cells = Vec::new();
-    for size in sizes {
+    const KINDS: [WorkloadKind; 2] = [WorkloadKind::Sps, WorkloadKind::Rbtree];
+    let keys = sizes.iter().flat_map(|&size| KINDS.map(|kind| (size, kind)));
+    let reports = run_keyed(keys, &RunConfig::default(), opts, |&(size, kind)| {
         let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
         machine.txcache.size_bytes = size;
-        for kind in [WorkloadKind::Sps, WorkloadKind::Rbtree] {
-            let label = format!("tc-size {size} B/{kind}");
-            cells.push(Cell::uniform(label, machine.clone(), kind, scale.params(seed)));
+        let label = format!("tc-size {size} B/{kind}");
+        Cell::uniform(label, machine, kind, scale.params(seed))
+    })?;
+    for size in sizes {
+        let mut row = vec![format!("{size} B")];
+        for kind in KINDS {
+            let r = &reports[&(size, kind)];
+            row.extend([
+                norm(r.ipc() / reports[&(4096, kind)].ipc()),
+                format!("{:.3}%", r.stall_fraction(StallKind::TxCacheFull) * 100.0),
+                r.tc_overflows().to_string(),
+            ]);
         }
-    }
-    let reports = run_cells(cells, &RunConfig::default(), opts)?;
-    let rows: Vec<(u64, RunReport, RunReport)> = sizes
-        .iter()
-        .zip(reports.chunks_exact(2))
-        .map(|(&size, pair)| (size, pair[0].clone(), pair[1].clone()))
-        .collect();
-    let (b_sps, b_rb) = rows
-        .iter()
-        .find(|(s, _, _)| *s == 4096)
-        .map(|(_, a, b)| (a.ipc(), b.ipc()))
-        .expect("4 KB point present");
-    for (size, sps, rb) in rows {
-        t.push_row(vec![
-            format!("{} B", size),
-            norm(sps.ipc() / b_sps),
-            format!("{:.3}%", sps.stall_fraction(StallKind::TxCacheFull) * 100.0),
-            sps.tc_overflows().to_string(),
-            norm(rb.ipc() / b_rb),
-            format!("{:.3}%", rb.stall_fraction(StallKind::TxCacheFull) * 100.0),
-            rb.tc_overflows().to_string(),
-        ]);
+        t.push_row(row);
     }
     Ok(t)
 }
@@ -1061,30 +1018,22 @@ pub fn ablation_nvm_latency(scale: Scale, seed: u64, opts: &Options) -> Result<F
         "PCM 85/350 ns".to_string(),
         pmacc_types::MemConfig::pcm(),
     ));
-    let schemes = [
-        SchemeKind::Optimal,
-        SchemeKind::Sp,
-        SchemeKind::TxCache,
-        SchemeKind::NvLlc,
-    ];
-    let mut cells = Vec::new();
-    for (label, nvm) in &sweep {
-        for scheme in schemes {
-            let mut machine = scale.machine().with_scheme(scheme);
-            machine.nvm = *nvm;
-            let label = format!("nvm {label}/{scheme}");
-            cells.push(Cell::uniform(label, machine, WorkloadKind::Rbtree, scale.params(seed)));
-        }
-    }
-    let reports = run_cells(cells, &RunConfig::default(), opts)?;
-    for ((label, _), point) in sweep.into_iter().zip(reports.chunks_exact(schemes.len())) {
-        let opt = point[0].ipc(); // Optimal is submitted first per point.
-        t.push_row(vec![
-            label,
-            norm(point[1].ipc() / opt),
-            norm(point[2].ipc() / opt),
-            norm(point[3].ipc() / opt),
-        ]);
+    let baseline = SchemeKind::Optimal;
+    let schemes = [SchemeKind::Sp, SchemeKind::TxCache, SchemeKind::NvLlc];
+    let keys = (0..sweep.len())
+        .flat_map(|point| [baseline].into_iter().chain(schemes).map(move |s| (point, s)));
+    let reports = run_keyed(keys, &RunConfig::default(), opts, |&(point, scheme)| {
+        let (label, nvm) = &sweep[point];
+        let mut machine = scale.machine().with_scheme(scheme);
+        machine.nvm = *nvm;
+        let label = format!("nvm {label}/{scheme}");
+        Cell::uniform(label, machine, WorkloadKind::Rbtree, scale.params(seed))
+    })?;
+    for (point, (label, _)) in sweep.iter().enumerate() {
+        let opt = reports[&(point, baseline)].ipc();
+        let mut row = vec![label.clone()];
+        row.extend(schemes.iter().map(|&s| norm(reports[&(point, s)].ipc() / opt)));
+        t.push_row(row);
     }
     Ok(t)
 }
@@ -1169,8 +1118,11 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
             System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?.run()
         }));
     }
-    let modes = [SpMode::Batched, SpMode::Strict];
-    for mode in modes {
+    let modes = [
+        (SpMode::Batched, "batched (Fig. 3a, default)"),
+        (SpMode::Strict, "strict (Fig. 2b)"),
+    ];
+    for (mode, _) in modes {
         let cfg = machine.clone().with_scheme(SchemeKind::Sp);
         jobs.push(Job::new(format!("sp-fencing {mode:?}/sps"), move || {
             let (raw, initial) = striped_workloads(&vec![WorkloadKind::Sps; cfg.cores], &params);
@@ -1182,22 +1134,63 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
             System::new_instrumented(cfg, traces, &initial, &RunConfig::default())?.run()
         }));
     }
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
+    let reports = run_named_jobs(jobs, opts, |_| seed)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     let opt = &reports[0];
-    for (mode, r) in modes.iter().zip(&reports[1..]) {
+    for ((_, label), r) in modes.iter().zip(&reports[1..]) {
         t.push_row(vec![
-            match mode {
-                SpMode::Batched => "batched (Fig. 3a, default)",
-                SpMode::Strict => "strict (Fig. 2b)",
-            }
-            .into(),
+            (*label).into(),
             norm(r.ipc() / opt.ipc()),
             norm(r.throughput() / opt.throughput()),
             norm(r.nvm_write_traffic() as f64 / opt.nvm_write_traffic() as f64),
         ]);
     }
     Ok(t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::suggest;
+
+    #[test]
+    fn registry_names_are_pinned_unique_and_their_own_suggestion() {
+        // The run order, `--list` and the `--json` figure order.
+        let names = names();
+        assert_eq!(
+            names,
+            [
+                "table2",
+                "table3",
+                "table1",
+                "fig6",
+                "fig7",
+                "fig8",
+                "fig9",
+                "fig9-breakdown",
+                "fig10",
+                "stalls",
+                "energy",
+                "endurance",
+                "recovery",
+                "mix",
+                "warm",
+                "sharing",
+                "wear",
+                "ablation-size",
+                "ablation-overflow",
+                "ablation-nvm",
+                "ablation-coalesce",
+                "ablation-sp-fencing",
+            ]
+        );
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate experiment name");
+        for name in &names {
+            assert_eq!(suggest::closest(name, &names), Some(*name));
+        }
+    }
 }

@@ -4,11 +4,12 @@
 //! Every cell is one independent [`System`] run — a (workload, scheme)
 //! pair at a [`Scale`] and seed — so the grid fans out over the
 //! [`crate::pool`] worker pool; [`run_cells`] is the one runner every
-//! simulating figure shares, and [`run_grid_opts`] builds the keyed grid
-//! from it. Results are keyed and ordered
-//! deterministically regardless of which worker finished first, so the
-//! same seed produces the same [`GridResults`] (and the same rendered
-//! `results.md`) at any job count.
+//! simulating figure shares, [`run_keyed`] keys its reports (the grid
+//! of [`run_grid_opts`] is one such map), and [`run_named_jobs`] is the
+//! pool call that names a panicking cell and its seed. Results are
+//! keyed and ordered deterministically regardless of which worker
+//! finished first, so the same seed produces the same [`GridResults`]
+//! (and the same rendered `results.md`) at any job count.
 //!
 //! ```no_run
 //! use pmacc_bench::grid::{run_grid_opts, Scale};
@@ -198,22 +199,35 @@ pub fn run_grid_opts(
     run_cfg: &RunConfig,
     opts: &Options,
 ) -> Result<GridResults, SimError> {
-    let keys: Vec<(WorkloadKind, SchemeKind)> = WorkloadKind::all()
+    let keys = WorkloadKind::all()
         .into_iter()
-        .flat_map(|kind| SchemeKind::all().map(|scheme| (kind, scheme)))
-        .collect();
-    let cells = keys
-        .iter()
-        .map(|&(kind, scheme)| {
-            let machine = scale.machine().with_scheme(scheme);
-            Cell::uniform(format!("{kind}/{scheme}"), machine, kind, scale.params(seed))
-        })
-        .collect();
-    let reports = run_cells(cells, run_cfg, opts)?;
-    Ok(GridResults {
-        results: keys.into_iter().zip(reports).collect(),
-        scale,
-    })
+        .flat_map(|kind| SchemeKind::all().map(|scheme| (kind, scheme)));
+    let results = run_keyed(keys, run_cfg, opts, |&(kind, scheme)| {
+        let machine = scale.machine().with_scheme(scheme);
+        Cell::uniform(format!("{kind}/{scheme}"), machine, kind, scale.params(seed))
+    })?;
+    Ok(GridResults { results, scale })
+}
+
+/// Runs one cell per key, in key order, and returns the reports keyed
+/// the same way.
+///
+/// # Errors
+///
+/// Returns the first simulation error encountered, in key order.
+///
+/// # Panics
+///
+/// As [`run_cells`].
+pub fn run_keyed<K: Ord>(
+    keys: impl IntoIterator<Item = K>,
+    run_cfg: &RunConfig,
+    opts: &Options,
+    cell: impl Fn(&K) -> Cell,
+) -> Result<BTreeMap<K, RunReport>, SimError> {
+    let keys: Vec<K> = keys.into_iter().collect();
+    let cells = keys.iter().map(cell).collect();
+    Ok(keys.into_iter().zip(run_cells(cells, run_cfg, opts)?).collect())
 }
 
 /// Runs a list of cells on the worker pool, one job per cell, returning
@@ -226,8 +240,7 @@ pub fn run_grid_opts(
 ///
 /// # Panics
 ///
-/// If a cell panics, the whole batch fails with a panic naming the cell
-/// label and its seed.
+/// As [`run_named_jobs`].
 pub fn run_cells(
     cells: Vec<Cell>,
     run_cfg: &RunConfig,
@@ -237,7 +250,7 @@ pub fn run_cells(
         .iter()
         .map(|c| (c.label.clone(), c.params.seed))
         .collect();
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = cells
+    let jobs = cells
         .into_iter()
         .map(|cell| {
             let run_cfg = *run_cfg;
@@ -246,13 +259,27 @@ pub fn run_cells(
             })
         })
         .collect();
-    pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| {
-            let seed = seeds.iter().find(|(l, _)| *l == p.label).map_or(0, |s| s.1);
-            panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message)
-        })
-        .into_iter()
-        .collect()
+    let seed_of = |label: &str| seeds.iter().find(|(l, _)| l == label).map_or(0, |s| s.1);
+    run_named_jobs(jobs, opts, seed_of).into_iter().collect()
+}
+
+/// Runs `jobs` on the worker pool, returning their results in submission
+/// order.
+///
+/// # Panics
+///
+/// If a job panics, the whole batch fails with a panic naming the job's
+/// label and its seed (`seed_of` the label), so the cell can be replayed
+/// serially (`--jobs 1`) or alone.
+pub fn run_named_jobs<T: Send>(
+    jobs: Vec<Job<T>>,
+    opts: &Options,
+    seed_of: impl Fn(&str) -> u64,
+) -> Vec<T> {
+    pool::run_jobs(jobs, opts.jobs, opts.progress).unwrap_or_else(|p| {
+        let seed = seed_of(&p.label);
+        panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message)
+    })
 }
 
 #[cfg(test)]

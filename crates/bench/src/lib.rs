@@ -5,8 +5,9 @@
 //! The [`grid`] module runs the §5 experiment matrix (5 schemes × 5
 //! workloads), fanned out over the [`pool`] worker pool (one job per
 //! independent cell, `PMACC_JOBS`/`--jobs` workers, bit-identical
-//! results at any job count); [`figures`] turns grids into the paper's
-//! tables and figures as markdown; [`report`] flattens the same grids
+//! results at any job count); [`figures`] registers the paper's tables
+//! and figures once ([`figures::EXPERIMENTS`]) and renders them as
+//! markdown; [`report`] flattens the same grids
 //! into machine-readable JSON and backs the regression gate;
 //! [`crashgrid`] runs dense fault-injection campaigns (every scheme ×
 //! workload × core-count cell crashed at hundreds of boundary-clustered

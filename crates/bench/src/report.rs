@@ -23,12 +23,12 @@
 
 use core::fmt;
 
-use pmacc::RunReport;
 use pmacc_cpu::StallKind;
 use pmacc_telemetry::{Json, MetricsRegistry, ToJson};
 use pmacc_types::{SchemeKind, WriteCause};
 use pmacc_workloads::WorkloadKind;
 
+use crate::figures::{Render, EXPERIMENTS};
 use crate::grid::{GridResults, Scale};
 use crate::table::FigTable;
 
@@ -72,7 +72,9 @@ impl ToJson for GridResults {
 /// - `fig6/<scheme>/mean` .. `fig10/<scheme>/mean` — the per-figure
 ///   metric (IPC, throughput, LLC miss rate, NVM write traffic,
 ///   persistent load latency) normalized to Optimal and averaged over
-///   workloads, i.e. the headline bar heights of each figure;
+///   workloads, i.e. the headline bar heights of each figure, taken from
+///   the normalized figures of [`EXPERIMENTS`] (the energy
+///   extension is not gated);
 /// - `ipc/<scheme>/<workload>` — absolute per-cell IPC;
 /// - `stall_frac/<scheme>/<kind>` — per-cause stall fraction averaged
 ///   over workloads (the §5.2 "TC never stalls commits" claim is
@@ -96,18 +98,14 @@ impl ToJson for GridResults {
 /// ([`MetricsRegistry::value`] is scalar-only).
 #[must_use]
 pub fn key_metrics(grid: &GridResults) -> MetricsRegistry {
-    type Metric = fn(&RunReport) -> f64;
     let mut reg = MetricsRegistry::new();
-    let figures: [(&str, Metric); 5] = [
-        ("fig6", RunReport::ipc),
-        ("fig7", RunReport::throughput),
-        ("fig8", RunReport::llc_miss_rate),
-        ("fig9", |r| r.nvm_write_traffic() as f64),
-        ("fig10", RunReport::persistent_load_latency),
-    ];
     for scheme in SchemeKind::all() {
-        for (fig, f) in figures {
-            reg.gauge_set(&format!("{fig}/{scheme}/mean"), grid.mean_normalized(scheme, f));
+        // Figures 6–10; the energy extension is not gated.
+        for fig in EXPERIMENTS.iter().filter(|e| e.name != "energy") {
+            if let Render::Normalized { metric, .. } = fig.render {
+                let mean = grid.mean_normalized(scheme, metric);
+                reg.gauge_set(&format!("{}/{scheme}/mean", fig.name), mean);
+            }
         }
         for kind in StallKind::all() {
             let mean = WorkloadKind::all()

@@ -18,6 +18,10 @@
 //! 3. **Recovery** — what survives a crash beside the NVM image
 //!    ([`SchemeCrash`]) and the one walk that rebuilds a consistent image
 //!    from it while counting its work.
+//!
+//! [`facts`] holds what the benchmark harness reads about each scheme:
+//! its figure label, whether it is persistent, and whether its recovery
+//! orders commits across cores.
 
 pub mod eadr;
 pub mod nvllc;
@@ -59,6 +63,47 @@ pub fn instrument(scheme: SchemeKind, core: usize, trace: &Trace) -> Trace {
         SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => {
             trace.clone()
         }
+    }
+}
+
+/// What the benchmark harness needs to know about a scheme beyond its
+/// hooks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Facts {
+    /// The scheme's name in figures and tables.
+    pub label: &'static str,
+    /// Whether committed transactions survive a crash.
+    pub persistent: bool,
+    /// Whether recovery orders commits across cores, so lines the cores
+    /// share recover to the last committed value. SP's per-core logs
+    /// carry no cross-log commit order.
+    pub orders_commits_across_cores: bool,
+}
+
+/// The facts about `scheme`.
+///
+/// # Example
+///
+/// ```
+/// use pmacc::scheme::facts;
+/// use pmacc_types::SchemeKind;
+///
+/// assert_eq!(facts(SchemeKind::TxCache).label, "TC (this work)");
+/// assert!(!facts(SchemeKind::Optimal).persistent);
+/// ```
+#[must_use]
+pub fn facts(scheme: SchemeKind) -> Facts {
+    let (label, persistent, orders_commits_across_cores) = match scheme {
+        SchemeKind::Sp => ("SP", true, false),
+        SchemeKind::TxCache => ("TC (this work)", true, true),
+        SchemeKind::NvLlc => ("NVLLC", true, true),
+        SchemeKind::Optimal => ("Optimal", false, false),
+        SchemeKind::Eadr => ("eADR", true, true),
+    };
+    Facts {
+        label,
+        persistent,
+        orders_commits_across_cores,
     }
 }
 

@@ -47,12 +47,6 @@ impl SchemeKind {
             SchemeKind::Eadr,
         ]
     }
-
-    /// Whether the scheme guarantees crash consistency for transactions.
-    #[must_use]
-    pub fn is_persistent(self) -> bool {
-        self != SchemeKind::Optimal
-    }
 }
 
 impl fmt::Display for SchemeKind {

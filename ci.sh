@@ -79,6 +79,23 @@ else
         --quick --jobs 4 --json "$crashgrid_json"
     cargo run --release --offline -q -p pmacc-bench --bin crashgrid -- \
         --verify "$crashgrid_json"
+    # Mutation gate: every recovery defect `crashgrid --help` lists must
+    # be caught by the oracle on a whole campaign — exit status 1 and at
+    # least one recorded violation.
+    crashgrid="${CARGO_TARGET_DIR:-target}/release/crashgrid"
+    for mutation in $("$crashgrid" --help | sed -n 's/^  --mutate //p' | tr '|' ' '); do
+        [[ "$mutation" == "none" ]] && continue
+        echo "==> crashgrid --quick --mutate $mutation (must be caught)"
+        status=0
+        "$crashgrid" --quick --jobs 4 --mutate "$mutation" --json "$crashgrid_json" \
+            > /dev/null 2>&1 || status=$?
+        violations="$(sed -n 's/.*"total_violations": *\([0-9]*\).*/\1/p' "$crashgrid_json" | head -1)"
+        if [[ "$status" != 1 || "${violations:-0}" -lt 1 ]]; then
+            echo "crashgrid --mutate $mutation was not caught" \
+                "(exit $status, ${violations:-no} violations)" >&2
+            exit 1
+        fi
+    done
     rm -f "$crashgrid_json"
 fi
 

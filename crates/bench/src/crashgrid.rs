@@ -466,22 +466,14 @@ pub struct CellResult {
 pub struct Reproducer {
     /// Stable name (embeds cell, seed and crash cycle).
     pub name: String,
-    /// Persistence scheme.
-    pub scheme: SchemeKind,
-    /// Workload kind.
-    pub workload: WorkloadKind,
-    /// Core count.
-    pub cores: usize,
-    /// Transaction-cache entry override, if the cell had one.
-    pub tc_entries: Option<u64>,
+    /// The failing cell (its `sharing` equals `params.sharing`).
+    pub spec: CellSpec,
     /// Full workload generation parameters (already prefix-reduced).
     pub params: WorkloadParams,
     /// Crash cycle to replay.
     pub crash_cycle: Cycle,
     /// Recovery defect in force (`none` for a real-bug reproducer).
     pub mutation: Mutation,
-    /// Whether the cell ran with wear leveling on.
-    pub wear: bool,
 }
 
 impl Reproducer {
@@ -490,10 +482,10 @@ impl Reproducer {
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("name", self.name.to_json()),
-            ("scheme", self.scheme.to_string().to_json()),
-            ("workload", self.workload.to_string().to_json()),
-            ("cores", self.cores.to_json()),
-            ("tc_entries", self.tc_entries.to_json()),
+            ("scheme", self.spec.scheme.to_string().to_json()),
+            ("workload", self.spec.workload.to_string().to_json()),
+            ("cores", self.spec.cores.to_json()),
+            ("tc_entries", self.spec.tc_entries.to_json()),
             ("num_ops", self.params.num_ops.to_json()),
             ("setup_items", self.params.setup_items.to_json()),
             ("key_space", self.params.key_space.to_json()),
@@ -506,8 +498,8 @@ impl Reproducer {
             fields.push(("sharing", u64::from(self.params.sharing).to_json()));
         }
         // Same back-compat rule as `sharing`: only emitted when set.
-        if self.wear {
-            fields.push(("wear", self.wear.to_json()));
+        if self.spec.wear {
+            fields.push(("wear", true.to_json()));
         }
         fields.push(("crash_cycle", self.crash_cycle.to_json()));
         fields.push(("mutation", self.mutation.to_string().to_json()));
@@ -540,40 +532,41 @@ impl Reproducer {
             Json::Int(i) if *i > 0 => Some(*i as u64),
             other => return Err(format!("field `tc_entries` is not null or positive: {other}")),
         };
-        Ok(Reproducer {
-            name: string(doc, "name")?.to_string(),
-            scheme: string(doc, "scheme")?
-                .parse()
-                .map_err(|e| format!("{e}"))?,
+        let params = WorkloadParams {
+            num_ops: int(doc, "num_ops")? as usize,
+            setup_items: int(doc, "setup_items")? as usize,
+            key_space: int(doc, "key_space")?,
+            insert_ratio: int(doc, "insert_ratio")? as u32,
+            seed: int(doc, "seed")?,
+            // Absent in reproducers pinned before the sharing knob
+            // existed: those cells ran fully private.
+            sharing: match doc.get("sharing") {
+                None => 0,
+                Some(Json::Int(i)) if (0..=8).contains(i) => *i as u8,
+                Some(other) => return Err(format!("field `sharing` is not 0..=8: {other}")),
+            },
+        };
+        let spec = CellSpec {
             workload: string(doc, "workload")?
                 .parse()
                 .map_err(|e| format!("{e}"))?,
+            scheme: string(doc, "scheme")?.parse().map_err(|e| format!("{e}"))?,
             cores: int(doc, "cores")? as usize,
             tc_entries,
-            params: WorkloadParams {
-                num_ops: int(doc, "num_ops")? as usize,
-                setup_items: int(doc, "setup_items")? as usize,
-                key_space: int(doc, "key_space")?,
-                insert_ratio: int(doc, "insert_ratio")? as u32,
-                seed: int(doc, "seed")?,
-                // Absent in reproducers pinned before the sharing knob
-                // existed: those cells ran fully private.
-                sharing: match doc.get("sharing") {
-                    None => 0,
-                    Some(Json::Int(i)) if (0..=8).contains(i) => *i as u8,
-                    Some(other) => {
-                        return Err(format!("field `sharing` is not 0..=8: {other}"))
-                    }
-                },
-            },
-            crash_cycle: int(doc, "crash_cycle")?,
-            mutation: string(doc, "mutation")?.parse()?,
+            sharing: params.sharing,
             // Absent in reproducers pinned before wear leveling existed.
             wear: match doc.get("wear") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
                 Some(other) => return Err(format!("field `wear` is not a bool: {other}")),
             },
+        };
+        Ok(Reproducer {
+            name: string(doc, "name")?.to_string(),
+            spec,
+            params,
+            crash_cycle: int(doc, "crash_cycle")?,
+            mutation: string(doc, "mutation")?.parse()?,
         })
     }
 
@@ -585,15 +578,7 @@ impl Reproducer {
     /// Returns the checker's description if recovery is (still) broken at
     /// this point, or a build/run error message.
     pub fn replay(&self) -> Result<(), String> {
-        let spec = CellSpec {
-            workload: self.workload,
-            scheme: self.scheme,
-            cores: self.cores,
-            tc_entries: self.tc_entries,
-            sharing: self.params.sharing,
-            wear: self.wear,
-        };
-        let mut sys = build_system(&spec, &self.params, false).map_err(|e| e.to_string())?;
+        let mut sys = build_system(&self.spec, &self.params, false).map_err(|e| e.to_string())?;
         sys.run_until(self.crash_cycle).map_err(|e| e.to_string())?;
         check_point(&sys, self.mutation).map_err(|e| format!("crash@{}: {e}", self.crash_cycle))
     }
@@ -1002,14 +987,10 @@ fn minimize(
             "{}-{}-c{}{}-s{}-cy{}",
             spec.scheme, spec.workload, spec.cores, variant, params.seed, cycle
         ),
-        scheme: spec.scheme,
-        workload: spec.workload,
-        cores: spec.cores,
-        tc_entries: spec.tc_entries,
+        spec: *spec,
         params,
         crash_cycle: cycle,
         mutation: cfg.mutation,
-        wear: spec.wear,
     })
 }
 
@@ -1101,6 +1082,65 @@ mod tests {
         assert!(sched.len() >= 350, "{} points", sched.len());
     }
 
+    /// The checker's delta path (images over one base: compare only the
+    /// lines either wrote) and its full merge walk (forced here by
+    /// flattening the recovered image) return the same verdict, total and
+    /// mismatch list at every crash point of a few small cells, honest
+    /// and under every recovery defect; the wear cell, whose recovered
+    /// image is rebuilt from device rows, always takes the merge walk.
+    #[test]
+    fn delta_oracle_agrees_with_the_full_merge_walk() {
+        let cell = |scheme, workload, tc_entries, wear| CellSpec {
+            workload,
+            scheme,
+            cores: 1,
+            tc_entries,
+            sharing: 0,
+            wear,
+        };
+        let cells = [
+            cell(SchemeKind::TxCache, WorkloadKind::Sps, None, false),
+            cell(SchemeKind::TxCache, WorkloadKind::Rbtree, Some(4), false),
+            cell(SchemeKind::NvLlc, WorkloadKind::Hashtable, None, false),
+            cell(SchemeKind::Sp, WorkloadKind::Btree, None, false),
+            cell(SchemeKind::Eadr, WorkloadKind::Graph, None, false),
+            cell(SchemeKind::TxCache, WorkloadKind::Sps, None, true),
+        ];
+        let params = WorkloadParams::tiny(42);
+        let mut caught: Vec<Mutation> = Vec::new();
+        for spec in cells {
+            let mut learn = build_system(&spec, &params, true).unwrap();
+            let total = learn.run().unwrap().cycles;
+            let sched = build_schedule(total, learn.boundaries(), 7);
+            for mutation in Mutation::all() {
+                let mut sys = build_system(&spec, &params, false).unwrap();
+                for &at in sched.keys() {
+                    sys.run_until(at).unwrap();
+                    let mut state = sys.crash_state();
+                    mutation.apply(&mut state);
+                    let recovered = recover(&state);
+                    let what = format!("{} {mutation} crash@{at}", spec.label());
+                    assert_eq!(
+                        state.initial_nvm.shares_base(&recovered),
+                        !spec.wear,
+                        "{what}: only the wear cell takes the merge walk"
+                    );
+                    let flat: pmacc_mem::Backing = recovered.iter().collect();
+                    assert!(!state.initial_nvm.shares_base(&flat));
+                    let delta = check_recovery(&state, &recovered);
+                    assert_eq!(delta, check_recovery(&state, &flat), "{what}");
+                    if delta.is_err() && !caught.contains(&mutation) {
+                        caught.push(mutation);
+                    }
+                }
+            }
+        }
+        // Every defect produced mismatch lists to compare; the honest
+        // recoveries never did.
+        assert_eq!(caught.len(), Mutation::all().len() - 1, "{caught:?}");
+        assert!(!caught.contains(&Mutation::None));
+    }
+
     #[test]
     fn mutation_parses_and_displays() {
         for m in [
@@ -1116,16 +1156,20 @@ mod tests {
 
     #[test]
     fn reproducer_roundtrips_through_json() {
-        let r = Reproducer {
-            name: "tc-sps-c1-s42-cy123".into(),
-            scheme: SchemeKind::TxCache,
+        let spec = CellSpec {
             workload: WorkloadKind::Sps,
+            scheme: SchemeKind::TxCache,
             cores: 1,
             tc_entries: Some(4),
+            sharing: 0,
+            wear: false,
+        };
+        let r = Reproducer {
+            name: "tc-sps-c1-s42-cy123".into(),
+            spec,
             params: WorkloadParams::tiny(42),
             crash_cycle: 123,
             mutation: Mutation::DropCommittedTc,
-            wear: false,
         };
         let doc = Json::parse(&r.to_json().to_pretty()).unwrap();
         assert_eq!(Reproducer::from_json(&doc).unwrap(), r);
@@ -1133,15 +1177,21 @@ mod tests {
         // The wear flag round-trips, and (like `sharing`) is only
         // serialized when set, so pre-wear pinned reproducers still
         // parse byte for byte.
-        let wl = Reproducer { wear: true, ..r.clone() };
+        let wl = Reproducer {
+            spec: CellSpec { wear: true, ..spec },
+            ..r.clone()
+        };
         let doc = Json::parse(&wl.to_json().to_pretty()).unwrap();
         assert_eq!(Reproducer::from_json(&doc).unwrap(), wl);
         assert!(r.to_json().get("wear").is_none());
         // The eADR scheme tag and its mutation round-trip too.
         let eadr = Reproducer {
             name: "eadr-sps-c1-s42-cy123".into(),
-            scheme: SchemeKind::Eadr,
-            tc_entries: None,
+            spec: CellSpec {
+                scheme: SchemeKind::Eadr,
+                tc_entries: None,
+                ..spec
+            },
             mutation: Mutation::KeepUncommittedEadr,
             ..r.clone()
         };

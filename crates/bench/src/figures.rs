@@ -1125,13 +1125,13 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
     for (mode, _) in modes {
         let cfg = machine.clone().with_scheme(SchemeKind::Sp);
         jobs.push(Job::new(format!("sp-fencing {mode:?}/sps"), move || {
-            let (raw, initial) = striped_workloads(&vec![WorkloadKind::Sps; cfg.cores], &params);
+            let (raw, image) = striped_workloads(&vec![WorkloadKind::Sps; cfg.cores], &params);
             let traces = raw
                 .iter()
                 .enumerate()
                 .map(|(core, t)| sp::instrument_with(core, t, mode))
                 .collect();
-            System::new_instrumented(cfg, traces, &initial, &RunConfig::default())?.run()
+            System::new_instrumented(cfg, traces, image, &RunConfig::default())?.run()
         }));
     }
     let reports = run_named_jobs(jobs, opts, |_| seed)

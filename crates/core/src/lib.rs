@@ -51,6 +51,6 @@ mod txcache;
 pub use metrics::RunReport;
 pub use service::{ServeConfig, ServeCoreStats, SERVE_RETRY};
 pub use system::{
-    stride_trace, stride_word, striped_workloads, BoundaryClass, EngineStats, RunConfig, System,
+    stride_trace, striped_workloads, BoundaryClass, EngineStats, RunConfig, System,
 };
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

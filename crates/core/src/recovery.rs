@@ -14,7 +14,7 @@ use core::fmt;
 use std::sync::Arc;
 
 use pmacc_mem::{Backing, WearSnapshot};
-use pmacc_types::{layout, Cycle, TxId, Word, WordAddr, WORDS_PER_LINE};
+use pmacc_types::{layout, Cycle, LineAddr, TxId, Word, WordAddr, WORDS_PER_LINE};
 
 use crate::scheme::SchemeCrash;
 
@@ -28,6 +28,106 @@ pub struct TxRecord {
     pub commit_cycle: Cycle,
     /// Persistent writes, in program order.
     pub writes: Vec<(WordAddr, Word)>,
+}
+
+/// The golden journal: every committed transaction in global commit
+/// order, append-only and shared. A crash snapshot clones it in O(1) and
+/// shares the whole prefix with the running machine; the machine's next
+/// append starts a new chunk instead of touching a shared one.
+///
+/// # Example
+///
+/// ```
+/// use pmacc::recovery::{Journal, TxRecord};
+/// use pmacc_types::TxId;
+///
+/// let rec = |s| TxRecord { tx: TxId::new(0, s), commit_cycle: s, writes: Vec::new() };
+/// let mut live = Journal::default();
+/// live.push(rec(0));
+/// let snapshot = live.clone();
+/// live.push(rec(1));
+/// assert_eq!((snapshot.len(), live.len()), (1, 2));
+/// // The snapshot's record is the live journal's first one, not a copy.
+/// assert!(std::ptr::eq(snapshot.iter().next().unwrap(), live.iter().next().unwrap()));
+/// let serials: Vec<u64> = live.iter().map(|r| r.tx.serial()).collect();
+/// assert_eq!(serials, [0, 1]);
+/// ```
+#[derive(Clone, Default)]
+pub struct Journal {
+    last: Option<Arc<JournalChunk>>,
+}
+
+/// A run of consecutive journal records and the chunk before it.
+struct JournalChunk {
+    prev: Option<Arc<JournalChunk>>,
+    /// Records in every chunk before this one.
+    start: usize,
+    records: Vec<TxRecord>,
+}
+
+impl Journal {
+    /// Appends one committed transaction.
+    pub fn push(&mut self, rec: TxRecord) {
+        if let Some(chunk) = self.last.as_mut().and_then(Arc::get_mut) {
+            chunk.records.push(rec);
+            return;
+        }
+        let start = self.len();
+        self.last = Some(Arc::new(JournalChunk {
+            prev: self.last.take(),
+            start,
+            records: vec![rec],
+        }));
+    }
+
+    /// Number of committed transactions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.last.as_ref().map_or(0, |c| c.start + c.records.len())
+    }
+
+    /// Whether nothing has committed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records in commit order.
+    pub fn iter(&self) -> impl Iterator<Item = &TxRecord> {
+        let mut chunks = Vec::new();
+        let mut cur = self.last.as_deref();
+        while let Some(chunk) = cur {
+            chunks.push(chunk);
+            cur = chunk.prev.as_deref();
+        }
+        chunks.into_iter().rev().flat_map(|c| c.records.iter())
+    }
+}
+
+impl fmt::Debug for Journal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Journal {
+    type Item = &'a TxRecord;
+    type IntoIter = Box<dyn Iterator<Item = &'a TxRecord> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
+impl Drop for Journal {
+    /// Unlinks the chunk chain iteratively, so a journal snapshotted at
+    /// every commit cannot overflow the stack on drop.
+    fn drop(&mut self) {
+        let mut cur = self.last.take();
+        while let Some(chunk) = cur {
+            cur = Arc::into_inner(chunk).and_then(|mut c| c.prev.take());
+        }
+    }
 }
 
 /// Everything that survives a power failure, plus the checking oracle.
@@ -54,8 +154,9 @@ pub struct CrashState {
     /// What the running scheme keeps durable beside the NVM image; only
     /// its own recovery reads it.
     pub scheme_state: SchemeCrash,
-    /// Golden journal of committed transactions (oracle).
-    pub journal: Vec<TxRecord>,
+    /// Golden journal of committed transactions (oracle), sharing its
+    /// storage with the machine it was taken from.
+    pub journal: Journal,
     /// Per-core transaction in flight at the crash (oracle): its identity
     /// and the persistent writes it had issued so far. A scheme may
     /// legitimately recover such a transaction completely — its commit
@@ -169,12 +270,19 @@ impl std::error::Error for RecoveryError {}
 /// Only the persistent *heap* is compared (log and COW areas are
 /// scheme-private scratch space).
 ///
+/// The expected image is an overlay on the initial image holding the
+/// journal's heap writes (the redo-log view: durable base plus committed
+/// writes). When the recovered image overlays the same base — every
+/// snapshot of a machine without wear leveling does — only the lines
+/// either image wrote itself can differ, so only those are compared;
+/// otherwise both images are merge-walked in full.
+///
 /// # Errors
 ///
-/// Returns a [`RecoveryError`] describing the mismatching words.
+/// Returns a [`RecoveryError`] describing the mismatching words: the
+/// first 16 in ascending address order, plus the total.
 pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), RecoveryError> {
     let heap_base = layout::persistent_heap_base().word();
-    // Expected image: initial + committed-transaction writes in order.
     // Journal order is *global* commit order (the push order of TX_END
     // completions), so shared-window words written by several cores'
     // transactions replay in the order those transactions serialized.
@@ -185,7 +293,11 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     // Compare over every heap word either image holds, so both a lost
     // committed write and a stray uncommitted one are caught (a word in
     // neither reads zero on both sides).
-    let mut mismatches = heap_mismatches(&expected, recovered, heap_base);
+    let mut mismatches = if expected.shares_base(recovered) {
+        delta_mismatches(&expected, recovered, heap_base)
+    } else {
+        heap_mismatches(&expected, recovered, heap_base)
+    };
     if mismatches.is_empty() {
         return Ok(());
     }
@@ -245,6 +357,34 @@ fn heap_mismatches(
     out
 }
 
+/// [`heap_mismatches`] for two images over one base: they agree on every
+/// line neither wrote itself, so only those lines are read.
+fn delta_mismatches(
+    expected: &Backing,
+    recovered: &Backing,
+    heap_base: WordAddr,
+) -> Vec<(WordAddr, Word, Word)> {
+    let heap_line = heap_base.line();
+    let mut lines: Vec<LineAddr> = expected
+        .own_lines()
+        .chain(recovered.own_lines())
+        .filter(|l| *l >= heap_line)
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    let mut out = Vec::new();
+    for line in lines {
+        let (want, got) = (expected.read_line(line), recovered.read_line(line));
+        for i in 0..WORDS_PER_LINE {
+            let w = line.word(i);
+            if want[i] != got[i] && w >= heap_base {
+                out.push((w, want[i], got[i]));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +405,7 @@ mod tests {
             wear: None,
             initial_nvm: Arc::default(),
             scheme_state,
-            journal: Vec::new(),
+            journal: Journal::default(),
             in_flight: vec![None],
         }
     }

@@ -66,6 +66,15 @@ pub fn instrument(scheme: SchemeKind, core: usize, trace: &Trace) -> Trace {
     }
 }
 
+/// [`instrument`] taking the trace by value: a scheme that adds no
+/// instructions hands it back without copying it.
+pub(crate) fn instrument_owned(scheme: SchemeKind, core: usize, trace: Trace) -> Trace {
+    match scheme {
+        SchemeKind::Sp => sp::instrument(core, &trace),
+        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => trace,
+    }
+}
+
 /// What the benchmark harness needs to know about a scheme beyond its
 /// hooks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,9 +11,12 @@
 //! Word images are [`Backing`]s, three of them: the *architectural* image
 //! (the newest value of every word, as loads and stores see it — it dies
 //! with a crash), the *durable NVM* image (what write-backs, flushes and
-//! transaction-cache drains have landed), and the *initial* NVM image,
-//! built once and shared by every [`CrashState`] for the checker's
-//! replay. The durable image and the scheme's own durable state (see
+//! transaction-cache drains have landed), and the *initial* NVM image
+//! every [`CrashState`] shares for the checker's replay. All three are
+//! overlays on the workload's frozen initial image (per core, as
+//! [`build_shared`] memoized it), so building a machine copies no word
+//! and a crash snapshot copies only the lines the run made durable. The
+//! durable image and the scheme's own durable state (see
 //! [`crate::scheme`]) survive a simulated crash; everything else dies
 //! with it.
 //! Per-scheme behaviour lives in [`crate::scheme`]: `System` matches the
@@ -35,7 +38,7 @@ use pmacc_types::{
 use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams};
 
 use crate::metrics::RunReport;
-use crate::recovery::{CrashState, TxRecord};
+use crate::recovery::{CrashState, Journal, TxRecord};
 use crate::scheme::eadr::EadrState;
 use crate::scheme::nvllc::NvLlcState;
 use crate::scheme::tc::{TcOrigin, TcState};
@@ -320,10 +323,12 @@ pub struct System {
     pub(crate) scheme: SchemeState,
     pub(crate) nvm: MemController,
     dram: MemController,
-    /// Durable NVM image: what has reached the persistence domain.
+    /// Durable NVM image: what has reached the persistence domain (an
+    /// overlay on the persistent lines of `arch`'s base).
     nvm_backing: Backing,
-    /// The persistent words of the initial image, shared with every
-    /// [`CrashState`] (the checker replays the journal over it).
+    /// The persistent lines of the initial image, shared with every
+    /// [`CrashState`] (the checker replays the journal over it): an
+    /// empty overlay on `nvm_backing`'s base.
     initial_nvm: Arc<Backing>,
     /// Architectural memory: the newest value of every word, persistent
     /// or not, as loads and stores see it through the cache hierarchy.
@@ -352,7 +357,7 @@ pub struct System {
     /// Cycle at which measurement started (after warm-up, if any).
     measure_start: Cycle,
     warmup_done: bool,
-    pub(crate) journal: Vec<TxRecord>,
+    pub(crate) journal: Journal,
     /// Durability-boundary cycles (empty unless
     /// [`RunConfig::record_boundaries`] is set).
     boundaries: Vec<(Cycle, BoundaryClass)>,
@@ -387,7 +392,8 @@ pub struct System {
 impl System {
     /// Builds a system executing the given *raw* per-core traces (the
     /// scheme's instrumentation is applied here) over the given initial
-    /// persistent/volatile memory image.
+    /// persistent/volatile memory image, which is frozen once into the
+    /// base every image of the machine overlays.
     ///
     /// # Errors
     ///
@@ -399,17 +405,16 @@ impl System {
         initial: &[(WordAddr, Word)],
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
-        let traces: Vec<Trace> = raw_traces
-            .iter()
-            .enumerate()
-            .map(|(c, t)| scheme::instrument(cfg.scheme, c, t))
-            .collect();
-        System::new_instrumented(cfg, traces, initial, run_cfg)
+        let traces = instrument_all(cfg.scheme, raw_traces);
+        let image = Backing::over(Arc::new(initial.iter().copied().collect()));
+        System::new_instrumented(cfg, traces, image, run_cfg)
     }
 
     /// Like [`System::new`] but the traces are taken as already
     /// instrumented (used by the SP-fencing ablation, which compares the
-    /// [`crate::scheme::sp::SpMode`] variants).
+    /// [`crate::scheme::sp::SpMode`] variants), and the initial image is
+    /// any [`Backing`] — typically [`striped_workloads`]' overlay on the
+    /// memoized per-core images, which the machine's images then share.
     ///
     /// # Errors
     ///
@@ -418,7 +423,7 @@ impl System {
     pub fn new_instrumented(
         cfg: MachineConfig,
         traces: Vec<Trace>,
-        initial: &[(WordAddr, Word)],
+        image: Backing,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
@@ -449,12 +454,7 @@ impl System {
         let opts = HierarchyOpts {
             pin_uncommitted_in_llc,
         };
-        let arch: Backing = initial.iter().copied().collect();
-        let nvm_backing: Backing = initial
-            .iter()
-            .copied()
-            .filter(|(w, _)| w.is_persistent())
-            .collect();
+        let nvm_backing = image.persistent();
         let tx_write_table = traces.iter().map(tx_writes_of).collect();
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
@@ -464,7 +464,7 @@ impl System {
             dram: MemController::new(MemRegion::Dram, cfg.dram, SchedPolicy::FrFcfs),
             initial_nvm: Arc::new(nvm_backing.clone()),
             nvm_backing,
-            arch,
+            arch: image,
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
             shared_word_end: layout::extended_heap_base().word().raw(),
@@ -472,7 +472,7 @@ impl System {
             tx_write_table,
             measure_start: 0,
             warmup_done: false,
-            journal: Vec::new(),
+            journal: Journal::default(),
             boundaries: Vec::new(),
             dropped_llc_writes: Counter::new(),
             clock: 0,
@@ -548,8 +548,9 @@ impl System {
             ))
             .into());
         }
-        let (traces, initial) = striped_workloads(kinds, params);
-        System::new(cfg, traces, &initial, run_cfg)
+        let (raw_traces, image) = striped_workloads(kinds, params);
+        let traces = instrument_all(cfg.scheme, raw_traces);
+        System::new_instrumented(cfg, traces, image, run_cfg)
     }
 
     /// The machine configuration in use.
@@ -561,7 +562,7 @@ impl System {
     /// The golden journal of committed transactions (oracle for the
     /// recovery checker).
     #[must_use]
-    pub fn journal(&self) -> &[TxRecord] {
+    pub fn journal(&self) -> &Journal {
         &self.journal
     }
 
@@ -790,11 +791,15 @@ impl System {
     /// power failure: the NVM image (under eADR including the
     /// flush-on-failure drain) and the scheme's own durable state —
     /// together with the golden journal the checker compares against.
+    /// The snapshot copies only the lines the durable image overlays on
+    /// the initial one, and shares the journal's records with the
+    /// machine.
     ///
     /// With wear leveling on, the NVM image is stored in *device row*
     /// space (translated through the remapper's current registers) plus
     /// the register snapshot itself — exactly what the hardware keeps —
-    /// so recovery genuinely has to reconstruct the remap to read it.
+    /// so recovery genuinely has to reconstruct the remap to read it;
+    /// that translation still walks the whole image.
     #[must_use]
     pub fn crash_state(&self) -> CrashState {
         let wear = self.nvm.wear_snapshot();
@@ -1589,6 +1594,15 @@ impl System {
     }
 }
 
+/// Applies `scheme`'s instrumentation to every core's raw trace.
+fn instrument_all(scheme: SchemeKind, raw_traces: Vec<Trace>) -> Vec<Trace> {
+    raw_traces
+        .into_iter()
+        .enumerate()
+        .map(|(c, t)| scheme::instrument_owned(scheme, c, t))
+        .collect()
+}
+
 /// Per-transaction persistent data writes of a trace, indexed by serial.
 fn tx_writes_of(trace: &Trace) -> Vec<Vec<(WordAddr, Word)>> {
     let mut out = Vec::new();
@@ -1612,23 +1626,22 @@ fn tx_writes_of(trace: &Trace) -> Vec<Vec<(WordAddr, Word)>> {
 /// multiprogrammed run — what [`System::for_workload_mix`] simulates.
 /// Core `c` runs an instance of `kinds[c]` seeded with
 /// `stream_seed(params.seed, c)` (memoized across the process), its
-/// addresses striped into its own slice. Public for harnesses that
-/// instrument the traces themselves (e.g. the SP-fencing ablation).
+/// addresses striped into its own slice. The image is an empty overlay
+/// on the memoized per-core initial images ([`Backing::striped`]): no
+/// word is copied. Public for harnesses that instrument the traces
+/// themselves (e.g. the SP-fencing ablation).
 #[must_use]
-pub fn striped_workloads(
-    kinds: &[WorkloadKind],
-    params: &WorkloadParams,
-) -> (Vec<Trace>, Vec<(WordAddr, Word)>) {
+pub fn striped_workloads(kinds: &[WorkloadKind], params: &WorkloadParams) -> (Vec<Trace>, Backing) {
     let mut traces = Vec::with_capacity(kinds.len());
-    let mut initial = Vec::new();
+    let mut images = Vec::with_capacity(kinds.len());
     for (core, &kind) in kinds.iter().enumerate() {
         let mut p = *params;
         p.seed = stream_seed(params.seed, core as u64);
         let w = build_shared(kind, &p);
         traces.push(stride_trace(&w.trace, core));
-        initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
+        images.push(Arc::clone(&w.initial));
     }
-    (traces, initial)
+    (traces, Backing::striped(images))
 }
 
 /// Shifts a trace's heap addresses into `core`'s private 1 GiB slice —
@@ -1642,48 +1655,23 @@ pub fn stride_trace(trace: &Trace, core: usize) -> Trace {
         .iter()
         .map(|op| match *op {
             Op::Load { addr } => Op::Load {
-                addr: stride_addr(addr, core),
+                addr: layout::stride(addr, core),
             },
             Op::Store { addr, value } => Op::Store {
-                addr: stride_addr(addr, core),
+                addr: layout::stride(addr, core),
                 value,
             },
             Op::LogStore { addr, meta, value } => Op::LogStore {
-                addr: stride_addr(addr, core),
+                addr: layout::stride(addr, core),
                 meta,
                 value,
             },
             Op::Flush { addr } => Op::Flush {
-                addr: stride_addr(addr, core),
+                addr: layout::stride(addr, core),
             },
             other => other,
         })
         .collect()
-}
-
-fn stride_addr(addr: Addr, core: usize) -> Addr {
-    let raw = addr.raw();
-    let volatile_heap = layout::volatile_heap_base().raw();
-    let nvm = Addr::nvm_base().raw();
-    let persistent_heap = layout::persistent_heap_base().raw();
-    let shared_pool = layout::shared_pool_base().raw();
-    // Only heap addresses stripe; the per-core log/COW scratch areas
-    // (between the NVM base and the persistent heap) are already private,
-    // and the shared window above the striped heap is shared by design —
-    // every core addresses it identically.
-    if (volatile_heap..nvm).contains(&raw) {
-        Addr::new(raw + layout::volatile_heap_stride(core))
-    } else if (persistent_heap..shared_pool).contains(&raw) {
-        Addr::new(raw + layout::persistent_heap_stride(core))
-    } else {
-        addr
-    }
-}
-
-/// Word-address counterpart of [`stride_trace`], for initial images.
-#[must_use]
-pub fn stride_word(w: WordAddr, core: usize) -> WordAddr {
-    stride_addr(w.to_addr(), core).word()
 }
 
 // The experiment harness fans independent `System` runs out across
@@ -1711,23 +1699,18 @@ mod tests {
     fn striding_keeps_cores_disjoint_and_leaves_scratch_areas() {
         let heap = layout::persistent_heap_base();
         // Heap addresses shift by one stride per core.
-        assert_eq!(stride_addr(heap, 0), heap);
-        assert_eq!(stride_addr(heap, 2).raw(), heap.raw() + 2 * CORE_STRIDE);
+        assert_eq!(layout::stride(heap, 0), heap);
+        assert_eq!(layout::stride(heap, 2).raw(), heap.raw() + 2 * CORE_STRIDE);
         // Log/COW areas are already per-core and must not shift.
         let log = layout::log_area_base(1);
-        assert_eq!(stride_addr(log, 3), log);
+        assert_eq!(layout::stride(log, 3), log);
         // Volatile heap shifts too.
         let vol = layout::volatile_heap_base();
-        assert_eq!(stride_addr(vol, 1).raw(), vol.raw() + CORE_STRIDE);
+        assert_eq!(layout::stride(vol, 1).raw(), vol.raw() + CORE_STRIDE);
         // The shared window is shared by design: no shift for any core.
         let shared = layout::shared_pool_base();
-        assert_eq!(stride_addr(shared, 0), shared);
-        assert_eq!(stride_addr(shared.offset(4096), 3), shared.offset(4096));
-        // Word form agrees with the byte form.
-        assert_eq!(
-            stride_word(heap.word(), 2).to_addr(),
-            stride_addr(heap, 2)
-        );
+        assert_eq!(layout::stride(shared, 0), shared);
+        assert_eq!(layout::stride(shared.offset(4096), 3), shared.offset(4096));
     }
 
     #[test]
@@ -2100,6 +2083,45 @@ mod tests {
         // DRAM words live only in the architectural image.
         assert_eq!(sys.arch.read_word(vol.offset(64).word()), 44);
         assert_eq!(sys.nvm_backing.read_word(vol.offset(64).word()), 0);
+
+        // Construction copies no word: machines for one workload under
+        // two schemes read through the memo's frozen per-core images.
+        let params = WorkloadParams::tiny(3);
+        let memo: Vec<_> = (0..2)
+            .map(|core| {
+                let mut p = params;
+                p.seed = stream_seed(params.seed, core);
+                build_shared(WorkloadKind::Rbtree, &p)
+            })
+            .collect();
+        let machine = |scheme| {
+            let mut cfg = tiny_machine(scheme);
+            cfg.cores = 2;
+            System::for_workload(cfg, WorkloadKind::Rbtree, &params, &RunConfig::default()).unwrap()
+        };
+        let (mut tc, sp) = (machine(SchemeKind::TxCache), machine(SchemeKind::Sp));
+        for image in [&tc.arch, &tc.nvm_backing, &sp.arch, &sp.nvm_backing] {
+            let copied = image.own_lines().count();
+            assert_eq!(copied, 0, "nothing copied at construction");
+            assert_eq!(image.base_images().len(), memo.len());
+            for (base, w) in image.base_images().iter().zip(&memo) {
+                assert!(Arc::ptr_eq(base, &w.initial), "the memo's frozen image");
+            }
+        }
+        // Snapshots hold only the durable lines the run wrote, and share
+        // their journal prefix with the machine and with each other.
+        tc.run_until(3_000).unwrap();
+        let early = tc.crash_state();
+        tc.run_until(6_000).unwrap();
+        let late = tc.crash_state();
+        assert!(!early.journal.is_empty() && late.journal.len() > early.journal.len());
+        let last_early = early.journal.iter().last().unwrap();
+        for journal in [&late.journal, tc.journal()] {
+            let same = journal.iter().nth(early.journal.len() - 1).unwrap();
+            assert!(std::ptr::eq(last_early, same), "one shared record, not a copy");
+        }
+        assert!(late.initial_nvm.shares_base(&late.nvm));
+        assert!(late.nvm.own_lines().count() < late.nvm.len() / WORDS_PER_LINE);
     }
 
     #[test]

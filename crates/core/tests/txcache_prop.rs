@@ -559,7 +559,7 @@ fn heap_word(i: u8) -> WordAddr {
 
 #[test]
 fn crash_snapshot_recovers_through_ring_wrap_holes() {
-    use pmacc::recovery::{check_recovery, recover, CrashState, TxRecord};
+    use pmacc::recovery::{check_recovery, recover, CrashState, Journal, TxRecord};
     use pmacc::scheme::SchemeCrash;
     pmacc_prop::check("crash_snapshot_recovers_through_ring_wrap_holes", |g| {
         // 2–5 entries: a few hundred ops wrap the ring many times over.
@@ -571,7 +571,7 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
         };
         let mut tc = TxCache::new(&cfg);
         let mut nvm = pmacc_mem::Backing::new();
-        let mut journal: Vec<TxRecord> = Vec::new();
+        let mut journal = Journal::default();
         let mut serial = 0u64;
         let mut cur_writes: Vec<(WordAddr, u64)> = Vec::new();
         // Outstanding NVM writes in issue (= FIFO) order.

@@ -13,7 +13,8 @@
 //!
 //! The crate also provides the *functional* [`Backing`] store that records
 //! the 64-bit word contents of memory, so crash recovery can be checked
-//! rather than assumed.
+//! rather than assumed; an image can overlay a frozen, shared base and
+//! then costs only the lines it changed.
 //!
 //! # Example
 //!

@@ -145,6 +145,65 @@ pub fn volatile_heap_stride(core: usize) -> u64 {
     }
 }
 
+/// Relocates one address of a per-core workload image into `core`'s
+/// private slice: persistent-heap and volatile-heap addresses shift by
+/// the core's stride, everything else — the per-core log/COW areas
+/// (already private) and the shared window (shared by design) — passes
+/// through unchanged.
+///
+/// # Panics
+///
+/// Panics if `core >= MAX_STRIDED_CORES`.
+#[must_use]
+pub fn stride(addr: Addr, core: usize) -> Addr {
+    let raw = addr.raw();
+    if (volatile_heap_base().raw()..Addr::nvm_base().raw()).contains(&raw) {
+        Addr::new(raw + volatile_heap_stride(core))
+    } else if (persistent_heap_base().raw()..shared_pool_base().raw()).contains(&raw) {
+        Addr::new(raw + persistent_heap_stride(core))
+    } else {
+        addr
+    }
+}
+
+/// Inverts [`stride`]: the core whose private slice holds `addr` and
+/// the address in that core's own image, or `None` for an address every
+/// core sees identically (the shared window, the log/COW areas, page
+/// zero). Assumes each core's image fits its slice — under 1 GiB of
+/// heap, and under [`EXT_VOLATILE_STRIDE`] of volatile heap for cores
+/// from [`BASE_STRIDED_CORES`] on — which is what keeps the slices
+/// disjoint in the first place.
+#[must_use]
+pub fn unstride(addr: Addr) -> Option<(usize, Addr)> {
+    let raw = addr.raw();
+    let vbase = volatile_heap_base().raw();
+    let pbase = persistent_heap_base().raw();
+    let dense = BASE_STRIDED_CORES as u64 * CORE_STRIDE;
+    let core = if (vbase..Addr::nvm_base().raw()).contains(&raw) {
+        let off = raw - vbase;
+        if off < dense {
+            (off / CORE_STRIDE) as usize
+        } else {
+            BASE_STRIDED_CORES + ((off - dense) / EXT_VOLATILE_STRIDE) as usize
+        }
+    } else if (pbase..shared_pool_base().raw()).contains(&raw) {
+        ((raw - pbase) / CORE_STRIDE) as usize
+    } else if raw >= extended_heap_base().raw() {
+        BASE_STRIDED_CORES + ((raw - extended_heap_base().raw()) / CORE_STRIDE) as usize
+    } else {
+        return None;
+    };
+    if core >= MAX_STRIDED_CORES {
+        return None;
+    }
+    let shift = if raw < Addr::nvm_base().raw() {
+        volatile_heap_stride(core)
+    } else {
+        persistent_heap_stride(core)
+    };
+    Some((core, Addr::new(raw - shift)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +277,33 @@ mod tests {
             cow_area_base(2).raw() - cow_area_base(1).raw(),
             COW_AREA_BYTES_PER_CORE
         );
+    }
+
+    #[test]
+    fn unstride_inverts_stride_in_every_slice() {
+        let probes = [
+            volatile_heap_base(),
+            volatile_heap_base().offset(12_345 * 64 + 8),
+            persistent_heap_base(),
+            persistent_heap_base().offset((CORE_STRIDE - 64) + 56),
+        ];
+        let cores = [0, 1, BASE_STRIDED_CORES - 1, BASE_STRIDED_CORES, 7, MAX_STRIDED_CORES - 1];
+        for core in cores {
+            for a in probes {
+                let s = stride(a, core);
+                assert_eq!(unstride(s), Some((core, a)), "core {core}, {a:?}");
+            }
+        }
+        // Shared addresses are nobody's slice and never move.
+        for a in [
+            shared_pool_base(),
+            shared_pool_base().offset(SHARED_POOL_BYTES - 8),
+            log_area_base(3),
+            cow_area_base(5),
+            Addr::new(8),
+        ] {
+            assert_eq!(stride(a, 4), a);
+            assert_eq!(unstride(a), None, "{a:?}");
+        }
     }
 }

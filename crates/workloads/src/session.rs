@@ -1,19 +1,23 @@
 //! The recording memory session the data structures run on.
 
+use std::sync::Arc;
+
 use pmacc_cpu::{Op, Trace};
+use pmacc_mem::Backing;
 use pmacc_types::rng::Rng;
-use pmacc_types::{layout, Addr, FxHashMap, Word, WordAddr};
+use pmacc_types::{layout, Addr, Word, WordAddr};
 
 use crate::heap::Heap;
 
 /// A functional memory plus trace recorder.
 ///
-/// Data structures execute against the session's word-granularity memory;
-/// while recording is on, every access is also appended to the trace that
-/// the timing simulation later replays. Setup (building the initial
-/// structure) runs with recording *off*, and the memory image at
-/// [`MemSession::start_recording`] becomes the simulation's initial NVM/DRAM
-/// contents.
+/// Data structures execute against the session's word image (a
+/// [`Backing`]); while recording is on, every access is also appended to
+/// the trace that the timing simulation later replays. Setup (building
+/// the initial structure) runs with recording *off*, and
+/// [`MemSession::start_recording`] freezes the image as the simulation's
+/// initial NVM/DRAM contents: recorded writes land in an overlay on it,
+/// so the initial image is never copied.
 ///
 /// # Example
 ///
@@ -36,8 +40,8 @@ use crate::heap::Heap;
 /// ```
 #[derive(Debug)]
 pub struct MemSession {
-    mem: FxHashMap<WordAddr, Word>,
-    initial: Vec<(WordAddr, Word)>,
+    mem: Backing,
+    initial: Arc<Backing>,
     trace: Trace,
     recording: bool,
     pheap: Heap,
@@ -50,8 +54,8 @@ impl MemSession {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         MemSession {
-            mem: FxHashMap::default(),
-            initial: Vec::new(),
+            mem: Backing::new(),
+            initial: Arc::default(),
             trace: Trace::new(),
             recording: false,
             pheap: Heap::new(layout::persistent_heap_base(), 1 << 30),
@@ -77,10 +81,12 @@ impl MemSession {
         self.vheap.alloc_words(words, 8)
     }
 
-    /// Switches trace recording on, snapshotting the current memory as the
-    /// simulation's initial image.
+    /// Switches trace recording on, freezing the current memory as the
+    /// simulation's initial image (moved, not copied); later writes go to
+    /// an overlay on it.
     pub fn start_recording(&mut self) {
-        self.initial = self.mem.iter().map(|(a, v)| (*a, *v)).collect();
+        self.initial = Arc::new(std::mem::take(&mut self.mem));
+        self.mem = Backing::over(Arc::clone(&self.initial));
         self.recording = true;
     }
 
@@ -89,7 +95,7 @@ impl MemSession {
         if self.recording {
             self.trace.push(Op::load(addr));
         }
-        self.mem.get(&addr.word()).copied().unwrap_or(0)
+        self.mem.read_word(addr.word())
     }
 
     /// Writes a 64-bit word (recorded as a store while recording).
@@ -97,13 +103,13 @@ impl MemSession {
         if self.recording {
             self.trace.push(Op::store(addr, value));
         }
-        self.mem.insert(addr.word(), value);
+        self.mem.write_word(addr.word(), value);
     }
 
     /// Reads without recording (verification helpers).
     #[must_use]
     pub fn peek(&self, addr: Addr) -> Word {
-        self.mem.get(&addr.word()).copied().unwrap_or(0)
+        self.mem.read_word(addr.word())
     }
 
     /// Records `n` ALU operations.
@@ -132,10 +138,19 @@ impl MemSession {
     }
 
     /// Consumes the session, returning the trace, the initial image
-    /// (memory at [`MemSession::start_recording`]) and the final image.
+    /// (memory at [`MemSession::start_recording`], frozen) and the final
+    /// image (an overlay on the initial one).
     #[must_use]
-    pub fn finish(self) -> (Trace, Vec<(WordAddr, Word)>, FxHashMap<WordAddr, Word>) {
+    pub fn into_images(self) -> (Trace, Arc<Backing>, Backing) {
         (self.trace, self.initial, self.mem)
+    }
+
+    /// [`MemSession::into_images`] with the initial image as an
+    /// ascending word list, the form `System::new` takes.
+    #[must_use]
+    pub fn finish(self) -> (Trace, Vec<(WordAddr, Word)>, Backing) {
+        let (trace, initial, final_image) = self.into_images();
+        (trace, initial.iter().collect(), final_image)
     }
 }
 
@@ -163,7 +178,7 @@ mod tests {
         s.write(a, 9);
         let (_, initial, final_mem) = s.finish();
         assert_eq!(initial, vec![(a.word(), 7)]);
-        assert_eq!(final_mem[&a.word()], 9);
+        assert_eq!(final_mem.read_word(a.word()), 9);
     }
 
     #[test]

@@ -6,8 +6,9 @@ use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pmacc_cpu::{Op, Trace};
+use pmacc_mem::Backing;
 use pmacc_types::rng::{splitmix64, stream_seed};
-use pmacc_types::{layout, Addr, ConfigError, FxHashMap, Word, WordAddr, LINE_BYTES};
+use pmacc_types::{layout, Addr, ConfigError, FxHashMap, Word, LINE_BYTES};
 
 use crate::btree::BPlusTree;
 use crate::graph::AdjacencyGraph;
@@ -171,10 +172,13 @@ impl WorkloadParams {
 pub struct WorkloadTrace {
     /// The op stream (one per core; cores run independent instances).
     pub trace: Trace,
-    /// Memory contents at recording start (seeds NVM/DRAM backing).
-    pub initial: Vec<(WordAddr, Word)>,
-    /// Memory contents after the full trace ran (ground truth).
-    pub final_image: FxHashMap<WordAddr, Word>,
+    /// Memory contents at recording start (seeds NVM/DRAM backing),
+    /// frozen when generation made it: every machine simulating this
+    /// workload reads through this one `Arc`.
+    pub initial: Arc<Backing>,
+    /// Memory contents after the full trace ran (ground truth): an
+    /// overlay on `initial` holding the lines the trace wrote.
+    pub final_image: Backing,
 }
 
 /// Builds the trace for one benchmark instance.
@@ -291,7 +295,7 @@ pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
             t.check(&s).expect("hashtable invariants");
         }
     }
-    let (trace, initial, final_image) = s.finish();
+    let (trace, initial, final_image) = s.into_images();
     trace.validate().expect("generated trace is well formed");
     if params.sharing == 0 {
         return WorkloadTrace {
@@ -300,7 +304,7 @@ pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
             final_image,
         };
     }
-    share_lines(kind, params, trace, initial)
+    share_lines(kind, params, trace, &initial)
 }
 
 /// Process-wide memo of [`build`] results, capped at this many entries
@@ -357,7 +361,7 @@ fn share_lines(
     kind: WorkloadKind,
     params: &WorkloadParams,
     trace: Trace,
-    initial: Vec<(WordAddr, Word)>,
+    initial: &Backing,
 ) -> WorkloadTrace {
     // Streams 0..7 seed the per-kind generators; offset by 64 to keep the
     // remap hash independent of every generation stream.
@@ -375,18 +379,21 @@ fn share_lines(
             other => other,
         })
         .collect();
-    let initial: Vec<(WordAddr, Word)> = initial
-        .into_iter()
-        .map(|(w, v)| (remap(w.to_addr()).word(), v))
-        .collect();
     // Distinct heap lines can land on the same pool slot (that collision
-    // is the point of the knob), so the functional final image must be
-    // recomputed by replaying the remapped stores over the remapped
-    // initial words — later writes win, exactly as in the simulator.
-    let mut final_image: FxHashMap<WordAddr, Word> = initial.iter().copied().collect();
+    // is the point of the knob): the higher original address wins in the
+    // initial image, and the functional final image is recomputed by
+    // replaying the remapped stores over it — later writes win, exactly
+    // as in the simulator.
+    let initial: Arc<Backing> = Arc::new(
+        initial
+            .iter()
+            .map(|(w, v)| (remap(w.to_addr()).word(), v))
+            .collect(),
+    );
+    let mut final_image = Backing::over(Arc::clone(&initial));
     for op in trace.ops() {
         if let Op::Store { addr, value } = op {
-            final_image.insert(addr.word(), *value);
+            final_image.write_word(addr.word(), *value);
         }
     }
     trace.validate().expect("remapped trace is well formed");
@@ -454,10 +461,10 @@ mod tests {
     fn replaying_trace_stores_over_initial_yields_final_image() {
         for kind in WorkloadKind::extended() {
             let w = build(kind, &WorkloadParams::tiny(5));
-            let mut mem: FxHashMap<WordAddr, Word> = w.initial.iter().copied().collect();
+            let mut mem: Backing = w.initial.iter().collect();
             for op in w.trace.ops() {
                 if let Op::Store { addr, value } = op {
-                    mem.insert(addr.word(), *value);
+                    mem.write_word(addr.word(), *value);
                 }
             }
             assert_eq!(mem, w.final_image, "{kind:?} trace replay mismatch");
@@ -520,10 +527,10 @@ mod tests {
             let a = build(kind, &p);
             let b = build(kind, &p);
             assert_eq!(a.trace, b.trace, "{kind:?} remap must be deterministic");
-            let mut mem: FxHashMap<WordAddr, Word> = a.initial.iter().copied().collect();
+            let mut mem: Backing = a.initial.iter().collect();
             for op in a.trace.ops() {
                 if let Op::Store { addr, value } = op {
-                    mem.insert(addr.word(), *value);
+                    mem.write_word(addr.word(), *value);
                 }
             }
             assert_eq!(mem, a.final_image, "{kind:?} remapped replay mismatch");

@@ -169,10 +169,10 @@ fn trace_replay_reconstructs_memory() {
             t.insert(&mut s, k, v);
         }
         let (trace, initial, final_image) = s.finish();
-        let mut mem: pmacc_types::FxHashMap<_, _> = initial.into_iter().collect();
+        let mut mem: pmacc_mem::Backing = initial.into_iter().collect();
         for op in trace.ops() {
             if let Op::Store { addr, value } = op {
-                mem.insert(addr.word(), *value);
+                mem.write_word(addr.word(), *value);
             }
         }
         assert_eq!(mem, final_image);

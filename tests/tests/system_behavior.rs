@@ -105,8 +105,8 @@ fn functional_state_matches_workload_ground_truth() {
     for (word, value) in w.final_image.iter() {
         if word.is_persistent() {
             assert_eq!(
-                recovered.read_word(*word),
-                *value,
+                recovered.read_word(word),
+                value,
                 "word {word} of core 0's final image"
             );
         }
